@@ -16,6 +16,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import fields, replace
 
 from . import __version__
 from .errors import DEFAULT_LIMITS, Limits, MfskitError, ResourceLimitError
@@ -43,21 +44,18 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
+LIMIT_FIELDS = tuple(f.name for f in fields(Limits))
+
 
 def _limits_from_args(args) -> Limits:
-    base = DEFAULT_LIMITS
-    return Limits(
-        max_walks=args.max_walks if args.max_walks else base.max_walks,
-        max_sequences=args.max_sequences if args.max_sequences else base.max_sequences,
-        max_exact_rounds=(
-            args.max_exact_rounds if args.max_exact_rounds else base.max_exact_rounds
-        ),
-        max_brute_vertices=(
-            args.max_brute_vertices
-            if args.max_brute_vertices
-            else base.max_brute_vertices
-        ),
-    )
+    overrides = {name: getattr(args, name) for name in LIMIT_FIELDS
+                 if getattr(args, name) is not None}
+    for name, value in overrides.items():
+        if value <= 0:
+            raise MfskitError(
+                f"--{name.replace('_', '-')} must be a positive integer, got {value}"
+            )
+    return replace(DEFAULT_LIMITS, **overrides)
 
 
 def _emit(args, payload: dict | list) -> None:
@@ -314,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     common.add_argument("--threads", type=int, default=1,
                         help="worker processes for parallelizable sweeps")
-    for name in ("max-walks", "max-sequences", "max-exact-rounds", "max-brute-vertices"):
-        common.add_argument(f"--{name}", type=int, default=None,
-                            help=f"override the {name.replace('-', '_')} limit")
+    for name in LIMIT_FIELDS:
+        common.add_argument(f"--{name.replace('_', '-')}", type=int, default=None,
+                            help=f"override the {name} limit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", parents=[common], help="emit a protocol graph")

@@ -196,28 +196,28 @@ def check_maximal_walks(
     g = r.graph
     n, depth = r.params.variable_count, r.params.tree_depth
     full_len = n + depth  # edges
-    root = 0
     tail = {f"u_0^{n}", f"v_0^{n}"}
     full = dead = 0
     offenders: list[str] = []
-    stack = [(root, 0)]
-    visited_walks = 0
-    while stack:
-        v, length = stack.pop()
-        if not g.out_edges[v]:
-            visited_walks += 1
-            if visited_walks > limits.max_walks:
+    # walks of `length` edges from the root, counted per end vertex
+    counts, length = {0: 1}, 0
+    while counts:
+        nxt: dict[int, int] = {}
+        for v, c in counts.items():
+            if g.out_edges[v]:
+                for w in g.out_edges[v]:
+                    nxt[w] = nxt.get(w, 0) + c
+                continue
+            if full + dead + len(offenders) + c > limits.max_walks:
                 raise ResourceLimitError("maximal-walk enumeration exceeds limit")
             role = r.roles[v]
             if length == full_len and role in tail:
-                full += 1
+                full += c
             elif length == full_len - 1 and role not in tail:
-                dead += 1
+                dead += c
             else:
-                offenders.append(f"walk of {length} edges ends at {role}")
-            continue
-        for w in g.out_edges[v]:
-            stack.append((w, length + 1))
+                offenders += [f"walk of {length} edges ends at {role}"] * c
+        counts, length = nxt, length + 1
     ok = not offenders and full > 0
     if full == 0:
         offenders.append("no full-length walk reaches the backbone tail")

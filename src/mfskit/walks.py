@@ -2,7 +2,9 @@
 
 A walk of k vertices realizes the label sequence of its vertices; only
 full-length walks count, so dead ends shorter than the query length
-contribute nothing.
+contribute nothing.  Both the walk-sequence multiset and the MFS solver
+read one search, which merges walks by label prefix and end vertex
+instead of enumerating them one by one.
 """
 
 from __future__ import annotations
@@ -71,6 +73,50 @@ def occ_count(g: LabeledDigraph, start: int, t: str | Sequence[str]) -> int:
     return sum(counts.values())
 
 
+def _check_walk_limit(total: int, k: int, limits: Limits) -> None:
+    if total > limits.max_walks:
+        raise ResourceLimitError(
+            f"{total} walks of {k} vertices exceed the limit {limits.max_walks}"
+        )
+
+
+def _sequence_counts(g: LabeledDigraph, start: int, k: int):
+    """Yield (sequence, occurrences) for every length-k sequence some walk
+    realizes, in ascending lexicographic order.
+
+    Depth-first over label prefixes, carrying walk counts per end vertex:
+    walks sharing a prefix and an end vertex are counted together, each
+    frontier is split by the next vertex's label in one pass over its
+    out-edges, and prefixes realized by no walk are never visited.
+    """
+    labels, out_edges = g.labels, g.out_edges
+    if k == 1:
+        yield (labels[start],), 1
+        return
+    stack = [((labels[start],), {start: 1})]
+    while stack:
+        prefix, counts = stack.pop()
+        if len(prefix) == k - 1:
+            # the last step needs only the total per symbol
+            occ: dict[str, int] = {}
+            for v, c in counts.items():
+                for w in out_edges[v]:
+                    occ[labels[w]] = occ.get(labels[w], 0) + c
+            for sym in sorted(occ):
+                yield prefix + (sym,), occ[sym]
+            continue
+        split: dict[str, dict[int, int]] = {}
+        for v, c in counts.items():
+            for w in out_edges[v]:
+                nxt = split.get(labels[w])
+                if nxt is None:
+                    split[labels[w]] = {w: c}
+                else:
+                    nxt[w] = nxt.get(w, 0) + c
+        for sym in sorted(split, reverse=True):
+            stack.append((prefix + (sym,), split[sym]))
+
+
 def enumerate_walk_sequences(
     g: LabeledDigraph,
     start: int,
@@ -84,21 +130,8 @@ def enumerate_walk_sequences(
     by no walk are absent.  Refuses when the exact walk count exceeds the
     configured limit.
     """
-    total = count_walks(g, start, k)
-    if total > limits.max_walks:
-        raise ResourceLimitError(
-            f"{total} walks of {k} vertices exceed the limit {limits.max_walks}"
-        )
-    result: Counter = Counter()
-    stack = [(start, (g.labels[start],))]
-    while stack:
-        v, prefix = stack.pop()
-        if len(prefix) == k:
-            result[prefix] += 1
-            continue
-        for w in g.out_edges[v]:
-            stack.append((w, prefix + (g.labels[w],)))
-    return result
+    _check_walk_limit(count_walks(g, start, k), k, limits)
+    return Counter(dict(_sequence_counts(g, start, k)))
 
 
 def walks_from(g: LabeledDigraph, start: int, k: int) -> list[tuple[int, ...]]:
@@ -120,58 +153,6 @@ class MfsResult:
         return "".join(self.sequence)
 
 
-def _zero_result(g: LabeledDigraph, k: int) -> MfsResult:
-    # no full-length walk exists: every sequence has zero occurrences
-    smallest = min(g.alphabet)
-    return MfsResult((smallest,) * k, 0, len(g.alphabet) ** k)
-
-
-def _mfs_walk_mode(g, start, k, limits) -> MfsResult:
-    counter = enumerate_walk_sequences(g, start, k, limits=limits)
-    if not counter:
-        return _zero_result(g, k)
-    best = max(counter.values())
-    ties = [seq for seq, c in counter.items() if c == best]
-    return MfsResult(min(ties), best, len(ties))
-
-
-def _mfs_seq_mode(g, start, k, limits) -> MfsResult:
-    if len(g.alphabet) ** k > limits.max_sequences:
-        raise ResourceLimitError(
-            f"{len(g.alphabet)}^{k} candidate sequences exceed the limit "
-            f"{limits.max_sequences}"
-        )
-    symbols = sorted(g.alphabet)
-    best_count = 0
-    best_seq: tuple[str, ...] | None = None
-    tie_count = 0
-    # depth-first over sequence prefixes in lexicographic order, carrying walk
-    # counts per end vertex; prefixes realized by no walk are pruned wholesale,
-    # so the first sequence reaching a given count is the smallest maximizer
-    stack = [((sym,), {start: 1})
-             for sym in reversed(symbols) if g.labels[start] == sym]
-    while stack:
-        prefix, counts = stack.pop()
-        if len(prefix) == k:
-            occ = sum(counts.values())
-            if occ > best_count:
-                best_count, best_seq, tie_count = occ, prefix, 1
-            elif occ == best_count:
-                tie_count += 1
-            continue
-        for sym in reversed(symbols):
-            nxt: dict[int, int] = {}
-            for v, c in counts.items():
-                for w in g.out_edges[v]:
-                    if g.labels[w] == sym:
-                        nxt[w] = nxt.get(w, 0) + c
-            if nxt:
-                stack.append((prefix + (sym,), nxt))
-    if best_seq is None:
-        return _zero_result(g, k)
-    return MfsResult(best_seq, best_count, tie_count)
-
-
 def most_frequent_sequence(
     g: LabeledDigraph,
     start: int,
@@ -183,20 +164,40 @@ def most_frequent_sequence(
     """Most frequent length-k label sequence over walks from `start`.
 
     Ties break to the lexicographically smallest maximizer and the number
-    of maximizers is reported.  `mode` selects the search side: "walk"
-    aggregates the walk multiset, "seq" scans candidate sequences; "auto"
-    picks the walk side whenever the exact walk count is the smaller space.
+    of maximizers is reported.  There is one search, over realized label
+    prefixes; `mode` only picks the limit checked before it: "walk" checks
+    the exact walk count against max_walks, "seq" checks the |alphabet|^k
+    candidate sequences against max_sequences, and "auto" checks whichever
+    of the two numbers is smaller (the walks on a tie).
     """
     g.check_vertex(start)
     if k < 1:
         raise GraphError("sequence length must be >= 1")
     if mode not in ("auto", "walk", "seq"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "walk" if count_walks(g, start, k) <= len(g.alphabet) ** k else "seq"
+    candidates = len(g.alphabet) ** k
+    if mode != "seq":
+        walks = count_walks(g, start, k)
+        if mode == "auto":
+            mode = "walk" if walks <= candidates else "seq"
     if mode == "walk":
-        return _mfs_walk_mode(g, start, k, limits)
-    return _mfs_seq_mode(g, start, k, limits)
+        _check_walk_limit(walks, k, limits)
+    elif candidates > limits.max_sequences:
+        raise ResourceLimitError(
+            f"{len(g.alphabet)}^{k} candidate sequences exceed the limit "
+            f"{limits.max_sequences}"
+        )
+    best_seq, best_count, tie_count = None, 0, 0
+    # sequences arrive in ascending order: the first maximizer is the smallest
+    for seq, occ in _sequence_counts(g, start, k):
+        if occ > best_count:
+            best_seq, best_count, tie_count = seq, occ, 1
+        elif occ == best_count:
+            tie_count += 1
+    if best_seq is None:
+        # no full-length walk exists: every sequence has zero occurrences
+        return MfsResult((min(g.alphabet),) * k, 0, candidates)
+    return MfsResult(best_seq, best_count, tie_count)
 
 
 # -- complementary sibling labeling -------------------------------------------

@@ -32,15 +32,21 @@ def example_formula() -> CnfFormula:
     return CnfFormula(3, ((1, -2), (2, -3), (-1, -2, -3)))
 
 
-def random_binary_graph(rng: random.Random, max_vertices: int = 10) -> LabeledDigraph:
-    """Random binary-alphabet digraph with out-degrees <= 2."""
+def random_binary_graph(
+    rng: random.Random, max_vertices: int = 10, alphabet: tuple[str, ...] | None = None
+) -> LabeledDigraph:
+    """Random digraph with out-degrees <= 2, over the binary alphabet unless
+    another `alphabet` is given."""
     n = rng.randint(1, max_vertices)
-    labels = tuple(str(rng.getrandbits(1)) for _ in range(n))
+    if alphabet is None:
+        labels = tuple(str(rng.getrandbits(1)) for _ in range(n))
+    else:
+        labels = tuple(rng.choice(alphabet) for _ in range(n))
     out = []
     for _ in range(n):
         deg = rng.randint(0, 2)
         out.append(tuple(rng.randrange(n) for _ in range(deg)))
-    return LabeledDigraph(("0", "1"), labels, tuple(out))
+    return LabeledDigraph(alphabet or ("0", "1"), labels, tuple(out))
 
 
 def random_cnf(rng: random.Random, max_vars: int = 6, max_clauses: int = 6) -> CnfFormula:

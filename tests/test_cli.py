@@ -114,6 +114,17 @@ def test_mfs_resource_refusal(capsys, tmp_path):
                  "--max-walks", "4"], expect=EXIT_RESOURCE)
 
 
+def test_limit_flags_must_be_positive(capsys, tmp_path):
+    graph = tmp_path / "g.json"
+    run(capsys, ["generate", "tree", "-n", "3", "--out", str(graph)])
+    for flag in ("--max-walks", "--max-sequences", "--max-exact-rounds",
+                 "--max-brute-vertices"):
+        for value in ("0", "-1"):
+            out = run(capsys, ["mfs", str(graph), "--length", "4", flag, value],
+                      expect=EXIT_INPUT)
+            assert f"{flag} must be a positive integer, got {value}" in out.err
+
+
 def test_bad_graph_file_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

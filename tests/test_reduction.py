@@ -1,11 +1,16 @@
 import random
+from collections import Counter
 from math import ceil, log2
 
 import pytest
 
 from mfskit import (
     CnfFormula,
+    LabeledDigraph,
+    Limits,
     ReductionError,
+    ReductionOutput,
+    ResourceLimitError,
     brute_force_sat,
     build_leaf_tree,
     check_maximal_walks,
@@ -153,6 +158,52 @@ def test_walk_lengths_on_example(example_formula):
     verdict = check_maximal_walks(r)
     assert verdict.ok
     assert verdict.full_walks > 0 and verdict.dead_end_walks > 0
+
+
+def maximal_walk_ends(r):
+    """(edges, end role) of every maximal walk from the root, one at a time."""
+    ends = Counter()
+    stack = [(0, 0)]
+    while stack:
+        v, length = stack.pop()
+        if not r.graph.out_edges[v]:
+            ends[length, r.roles[v]] += 1
+        stack += [(w, length + 1) for w in r.graph.out_edges[v]]
+    return ends
+
+
+def test_maximal_walk_counts_match_per_walk_oracle():
+    rng = random.Random(4242)
+    for _ in range(30):
+        r = reduce_sat_to_mfs(random_cnf(rng))
+        g = r.graph
+        # also cut the out-edges of a few vertices, so that offenders appear
+        cut = set(rng.sample(range(1, g.vertex_count), rng.randint(0, 3)))
+        out = tuple(() if v in cut else row for v, row in enumerate(g.out_edges))
+        broken = LabeledDigraph(g.alphabet, g.labels, out, None, g.names)
+        for case in (r, ReductionOutput(broken, r.roles, r.params)):
+            ends = maximal_walk_ends(case)
+            full_len = r.params.variable_count + r.params.tree_depth
+            tail = {f"u_0^{r.params.variable_count}", f"v_0^{r.params.variable_count}"}
+            verdict = check_maximal_walks(case)
+            assert verdict.full_walks == sum(
+                c for (n, role), c in ends.items() if n == full_len and role in tail)
+            assert verdict.dead_end_walks == sum(
+                c for (n, role), c in ends.items() if n == full_len - 1 and role not in tail)
+            expected = Counter({
+                f"walk of {n} edges ends at {role}": c
+                for (n, role), c in ends.items()
+                if not (n == full_len and role in tail)
+                and not (n == full_len - 1 and role not in tail)
+            })
+            if verdict.full_walks == 0:
+                expected["no full-length walk reaches the backbone tail"] += 1
+            assert Counter(verdict.offenders) == expected
+            assert verdict.ok == (not expected)
+            total = sum(ends.values())
+            assert check_maximal_walks(case, limits=Limits(max_walks=total)) == verdict
+            with pytest.raises(ResourceLimitError, match="exceeds limit"):
+                check_maximal_walks(case, limits=Limits(max_walks=total - 1))
 
 
 def test_determinism(example_formula):

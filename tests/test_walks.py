@@ -17,7 +17,12 @@ from mfskit import (
     most_frequent_sequence,
     occ_count,
 )
+from mfskit import walks
 from conftest import random_binary_graph
+
+# the binary alphabet, then three symbols declared out of order, with "10"
+# next to "1" so that the tie-break must compare whole symbols
+ALPHABETS = (None, ("1", "10", "0"))
 
 
 # -- occurrence counting -------------------------------------------------------
@@ -73,20 +78,21 @@ def test_enumeration_explosion_limit(example_tree):
 
 def test_enumeration_matches_occ_on_random_graphs():
     rng = random.Random(1411)
-    for _ in range(150):
-        g = random_binary_graph(rng)
-        start = rng.randrange(g.vertex_count)
-        k = rng.randint(1, 6)
-        seqs = enumerate_walk_sequences(g, start, k)
-        # multiplicity of every realized sequence equals its occurrence count
-        for seq, mult in seqs.items():
-            assert mult == occ_count(g, start, seq)
-        # conservation: multiplicities sum to the label-blind walk count
-        assert sum(seqs.values()) == count_walks(g, start, k)
-        # absent sequences occur zero times
-        for seq in product("01", repeat=min(k, 4)):
-            if len(seq) == k and seq not in seqs:
-                assert occ_count(g, start, seq) == 0
+    for alphabet in ALPHABETS:
+        for _ in range(150):
+            g = random_binary_graph(rng, alphabet=alphabet)
+            start = rng.randrange(g.vertex_count)
+            k = rng.randint(1, 6)
+            seqs = enumerate_walk_sequences(g, start, k)
+            # multiplicity of every realized sequence equals its occurrence count
+            for seq, mult in seqs.items():
+                assert mult == occ_count(g, start, seq)
+            # conservation: multiplicities sum to the label-blind walk count
+            assert sum(seqs.values()) == count_walks(g, start, k)
+            # absent sequences occur zero times
+            for seq in product(g.alphabet, repeat=min(k, 4)):
+                if len(seq) == k and seq not in seqs:
+                    assert occ_count(g, start, seq) == 0
 
 
 def test_occurrence_bounded_by_out_degree_power():
@@ -125,28 +131,46 @@ def test_unique_walk_path_graph():
 
 def test_modes_agree_everywhere():
     rng = random.Random(2024)
-    for _ in range(80):
-        g = random_binary_graph(rng)
-        start = rng.randrange(g.vertex_count)
-        k = rng.randint(1, 6)
-        walk = most_frequent_sequence(g, start, k, mode="walk")
-        seq = most_frequent_sequence(g, start, k, mode="seq")
-        assert walk == seq
+    for alphabet in ALPHABETS:
+        for _ in range(80):
+            g = random_binary_graph(rng, alphabet=alphabet)
+            start = rng.randrange(g.vertex_count)
+            k = rng.randint(1, 6)
+            walk = most_frequent_sequence(g, start, k, mode="walk")
+            seq = most_frequent_sequence(g, start, k, mode="seq")
+            assert walk == seq
 
 
 def test_mfs_count_is_maximal():
     rng = random.Random(77)
-    for _ in range(40):
-        g = random_binary_graph(rng, max_vertices=8)
-        start = rng.randrange(g.vertex_count)
-        k = rng.randint(1, 6)
-        result = most_frequent_sequence(g, start, k)
-        occs = {seq: occ_count(g, start, seq) for seq in product("01", repeat=k)}
-        assert result.count == max(occs.values())
-        assert occs[result.sequence] == result.count
-        maximizers = [s for s, c in occs.items() if c == result.count]
-        assert result.tie_count == len(maximizers)
-        assert result.sequence == min(maximizers)
+    for alphabet in ALPHABETS:
+        for _ in range(40):
+            g = random_binary_graph(rng, max_vertices=8, alphabet=alphabet)
+            start = rng.randrange(g.vertex_count)
+            k = rng.randint(1, 6)
+            result = most_frequent_sequence(g, start, k)
+            occs = {seq: occ_count(g, start, seq)
+                    for seq in product(g.alphabet, repeat=k)}
+            assert result.count == max(occs.values())
+            assert occs[result.sequence] == result.count
+            maximizers = [s for s, c in occs.items() if c == result.count]
+            assert result.tie_count == len(maximizers)
+            assert result.sequence == min(maximizers)
+
+
+def test_auto_mode_counts_walks_once(monkeypatch):
+    calls = []
+    counted = walks.count_walks
+    monkeypatch.setattr(walks, "count_walks", lambda *a: calls.append(a) or counted(*a))
+    rng = random.Random(31)
+    for alphabet in ALPHABETS:
+        for _ in range(20):
+            g = random_binary_graph(rng, alphabet=alphabet)
+            start = rng.randrange(g.vertex_count)
+            k = rng.randint(1, 8)
+            calls.clear()
+            most_frequent_sequence(g, start, k)
+            assert calls == [(g, start, k)]
 
 
 def test_no_full_length_walks():
@@ -157,6 +181,14 @@ def test_no_full_length_walks():
         assert result.count == 0
         assert result.sequence_str == "0000"
         assert result.tie_count == 16
+
+
+def test_mfs_walk_limit(example_tree):
+    with pytest.raises(ResourceLimitError, match="8 walks of 4 vertices"):
+        most_frequent_sequence(example_tree, 0, 4, mode="walk",
+                               limits=Limits(max_walks=7))
+    assert most_frequent_sequence(example_tree, 0, 4, mode="seq",
+                                  limits=Limits(max_walks=7)).count == 3
 
 
 def test_mfs_sequence_limit():

@@ -106,12 +106,12 @@ def _as_text(payload, indent: int = 0) -> str:
 
 
 def _write_or_print(args, data: dict) -> None:
+    text = json.dumps(data, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     else:
-        print(json.dumps(data, indent=2))
+        print(text)
 
 
 def _parse_labels(raw: str) -> tuple[str, ...]:
@@ -175,41 +175,27 @@ def _df_report_exact(n: int, limits: Limits, workers: int) -> dict:
     return report.to_json_dict()
 
 
+def _df_report_float(n: int, limits: Limits, force: bool) -> dict:
+    e, _cdf = expected_max_tree_float(n, limits=limits, force=force)
+    return {
+        "method": "exact-dp-float",
+        "rounds": n,
+        "expected_max": e,
+        "success_probability": e / (1 << n),
+    }
+
+
 def _cmd_df(args) -> int:
     limits = _limits_from_args(args)
-    workers = args.threads
     if args.method == "exact-tree":
-        if args.sweep:
-            lo, hi = args.sweep
-            payload = []
-            for n in range(lo, hi + 1):
-                if args.float:
-                    e, _cdf = expected_max_tree_float(n, limits=limits, force=args.force)
-                    payload.append(
-                        {
-                            "method": "exact-dp-float",
-                            "rounds": n,
-                            "expected_max": e,
-                            "success_probability": e / (1 << n),
-                        }
-                    )
-                else:
-                    payload.append(_df_report_exact(n, limits, workers))
-            _emit(args, payload)
-            return EXIT_OK
-        if args.float:
-            e, _cdf = expected_max_tree_float(args.rounds, limits=limits, force=args.force)
-            _emit(
-                args,
-                {
-                    "method": "exact-dp-float",
-                    "rounds": args.rounds,
-                    "expected_max": e,
-                    "success_probability": e / (1 << args.rounds),
-                },
-            )
-            return EXIT_OK
-        _emit(args, _df_report_exact(args.rounds, limits, workers))
+        rounds = range(args.sweep[0], args.sweep[1] + 1) if args.sweep else [args.rounds]
+        payload = [
+            _df_report_float(n, limits, args.force)
+            if args.float
+            else _df_report_exact(n, limits, args.threads)
+            for n in rounds
+        ]
+        _emit(args, payload if args.sweep else payload[0])
         return EXIT_OK
 
     graph = _df_graph(args)

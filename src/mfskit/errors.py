@@ -40,7 +40,15 @@ class ResourceLimitError(MfskitError):
 
 def _env_int(name, default):
     raw = os.environ.get(name)
-    return default if raw is None else int(raw)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0  # rejected below with the same message
+    if value < 1:
+        raise MfskitError(f"{name} must be a positive integer, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,17 @@ children are labeled 0 splits the tree into two independent halves one
 level down, which yields a recursion on threshold probabilities
 Pr(M(m, n) < x) with closed-form values at depth 1.
 
+One bottom-up level sweep (`_level_sweep`) evaluates that recursion for
+every caller: the fan tree (`recursive_prob`, `base_case_prob`), the full
+binary tree behind `expected_max_tree`, and float mode.  The arithmetic
+is a parameter of the sweep.
+
 All such probabilities are dyadic.  Internally a value at level n with
 parameter m is stored as an integer numerator over 2**(c_n * m) where
 c_1 = 2 and c_n = 2*c_{n-1} + 2; that exponent is linear in m, which makes
-the recursion pure integer arithmetic with no normalization.
+the recursion pure integer arithmetic with no normalization.  Float mode
+runs the same sweep on the pmf rows C(k, i) / 2**k, where the powers of
+two are already divided out and probability one is 1.0.
 
 Two exact facts prune the state space: M(m, n) >= m always, so the
 probability is 0 when x <= m; and M(m, n) <= m * 2**n with equality on the
@@ -49,16 +56,44 @@ def _level_exponent(level: int) -> int:
     return (1 << (level + 1)) - 2
 
 
-def _base_numer(m: int, x: int, rows) -> int:
-    """Numerator of Pr(M(m, 1) < x) over 2**(2m)."""
-    if m == 0:
-        return 1
-    if x <= m:
-        return 0
-    if x > 2 * m:
-        return 1 << (2 * m)
-    row = rows[2 * m]
-    return row[m] + 2 * sum(row[i] for i in range(m + 1, x))
+def _level_sweep(m_top: int, n: int, x: int, rows, unit):
+    """Pr(M(m_top, n) < x), bottom-up from the depth-1 closed form.
+
+    Level l holds parameters m = 0 .. m_top * 2**(n-l); each pass consumes
+    the level below through the binomial-weighted symmetric sum.  The
+    arithmetic is the caller's: rows[2m] holds the weights C(2m, i) and
+    unit(e) is probability one over 2**e, so integer rows with
+    unit = (1).__lshift__ give exact numerators over 2**(c_n * m_top), and
+    float pmf rows with unit(e) = 1.0 give floats.
+    """
+    zero = 0 * unit(0)  # 0 or 0.0, in the caller's arithmetic
+    prev = []
+    for m in range((m_top << (n - 1)) + 1):
+        if x <= m:
+            prev.append(zero)
+        elif x > 2 * m:
+            prev.append(unit(2 * m))
+        else:
+            row = rows[2 * m]
+            prev.append(row[m] + 2 * sum(row[m + 1 : x]))
+    for level in range(2, n + 1):
+        c = _level_exponent(level)
+        mmax = m_top << (n - level)
+        cur = [zero] * (mmax + 1)
+        for m in range(min(mmax, x - 1) + 1):
+            if x > (m << level):
+                cur[m] = unit(c * m)
+                continue
+            row = rows[2 * m]
+            hi = min(2 * m, x - 1)
+            lo = 2 * m - hi
+            acc = sum(
+                map(mul, map(mul, row[lo:m], prev[lo:m]), prev[2 * m - lo : m : -1])
+            )
+            pm = prev[m]
+            cur[m] = acc + acc + row[m] * pm * pm
+        prev = cur
+    return prev[m_top]
 
 
 def base_case_prob(m: int, x: int) -> DyadicProbability:
@@ -69,91 +104,23 @@ def base_case_prob(m: int, x: int) -> DyadicProbability:
     times); 1 if x > 2m; otherwise the binomial tail
     (C(2m, m) + 2 * sum_{i=m+1}^{x-1} C(2m, i)) / 2**(2m).
     """
-    if m < 0 or x < 1:
-        raise ValueError("need m >= 0 and x >= 1")
-    rows = _binom_rows(2 * m)
-    return DyadicProbability(_base_numer(m, x, rows), 2 * m)
+    return recursive_prob(m, 1, x)
 
 
-def recursive_prob(
-    m: int,
-    n: int,
-    x: int,
-    memo: dict | None = None,
-) -> DyadicProbability:
-    """Exact Pr(M(m, n) < x), memoized on (m, level) for this fixed x."""
+def recursive_prob(m: int, n: int, x: int) -> DyadicProbability:
+    """Exact Pr(M(m, n) < x) for the fan tree with 2m root children."""
     if m < 0 or n < 1 or x < 1:
         raise ValueError("need m >= 0, n >= 1 and x >= 1")
-    if memo is None:
-        memo = {}
-    rows = _binom_rows(2 * m * (1 << (n - 1)))
-
-    def solve(mm: int, level: int) -> int:
-        if mm == 0:
-            return 1
-        if mm >= x:
-            return 0
-        if x > (mm << level):
-            return 1 << (_level_exponent(level) * mm)
-        key = (mm, level)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if level == 1:
-            value = _base_numer(mm, x, rows)
-            memo[key] = value
-            return value
-        row = rows[2 * mm]
-        hi = min(2 * mm, x - 1)
-        lo = 2 * mm - hi
-        acc = 0
-        for i in range(lo, mm):
-            a = solve(i, level - 1)
-            if a:
-                b = solve(2 * mm - i, level - 1)
-                if b:
-                    acc += row[i] * a * b
-        acc <<= 1
-        pm = solve(mm, level - 1)
-        acc += row[mm] * pm * pm
-        memo[key] = acc
-        return acc
-
-    return DyadicProbability(solve(m, n), _level_exponent(n) * m)
-
-
-def _sweep_one_x(n: int, x: int, rows) -> int:
-    """Numerator of Pr(M(1, n) < x) over 2**(2**(n+1) - 2), bottom-up.
-
-    Level l holds parameters m = 0..2**(n-l); each pass consumes the level
-    below through the binomial-weighted symmetric sum.
-    """
-    mmax = 1 << (n - 1)
-    prev = [_base_numer(m, x, rows) for m in range(mmax + 1)]
-    for level in range(2, n + 1):
-        c = _level_exponent(level)
-        mmax = 1 << (n - level)
-        cur = [0] * (mmax + 1)
-        for m in range(min(mmax, x - 1) + 1):
-            if x > (m << level):
-                cur[m] = 1 << (c * m)
-                continue
-            row = rows[2 * m]
-            hi = min(2 * m, x - 1)
-            lo = 2 * m - hi
-            acc = sum(
-                map(mul, map(mul, row[lo:m], prev[lo:m]), prev[2 * m - lo : m : -1])
-            )
-            pm = prev[m]
-            cur[m] = (acc << 1) + row[m] * pm * pm
-        prev = cur
-    return prev[1]
+    rows = _binom_rows(m << n)
+    numer = _level_sweep(m, n, x, rows, (1).__lshift__)
+    return DyadicProbability(numer, _level_exponent(n) * m)
 
 
 def _sweep_chunk(args: tuple[int, int, int]) -> list[int]:
     n, x_lo, x_hi = args
     rows = _binom_rows(1 << n)
-    return [_sweep_one_x(n, x, rows) for x in range(x_lo, x_hi)]
+    unit = (1).__lshift__
+    return [_level_sweep(1, n, x, rows, unit) for x in range(x_lo, x_hi)]
 
 
 @dataclass(frozen=True)
@@ -197,17 +164,15 @@ def expected_max_tree(
             "use float mode with an explicit override for larger n"
         )
     top = 1 << n
-    xs = range(1, top + 2)
     if workers > 1:
-        chunk = max(1, len(xs) // (workers * 4))
+        chunk = max(1, (top + 1) // (workers * 4))
         tasks = [(n, lo, min(lo + chunk, top + 2)) for lo in range(1, top + 2, chunk)]
         numerators: list[int] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_sweep_chunk, tasks):
                 numerators.extend(part)
     else:
-        rows = _binom_rows(1 << n)
-        numerators = [_sweep_one_x(n, x, rows) for x in xs]
+        numerators = _sweep_chunk((n, 1, top + 2))
     d = _level_exponent(n)
     # E[M] = sum_{x=1}^{2^n} Pr(M >= x)
     shortfall = sum(numerators[:top])
@@ -251,45 +216,9 @@ def expected_max_tree_float(
             f"n = {n} exceeds the configured limit {limits.max_exact_rounds}; "
             "pass force=True (CLI: --force) to run float mode anyway"
         )
-    pmf = [None] * ((1 << n) + 1)
-
-    def pmf_row(k):
-        if pmf[k] is None:
-            pmf[k] = _binom_pmf_row(k)
-        return pmf[k]
-
-    def base(m, x):
-        if m == 0:
-            return 1.0
-        if x <= m:
-            return 0.0
-        if x > 2 * m:
-            return 1.0
-        row = pmf_row(2 * m)
-        return row[m] + 2.0 * sum(row[i] for i in range(m + 1, x))
-
-    def one_x(x):
-        mmax = 1 << (n - 1)
-        prev = [base(m, x) for m in range(mmax + 1)]
-        for level in range(2, n + 1):
-            mmax = 1 << (n - level)
-            cur = [0.0] * (mmax + 1)
-            for m in range(min(mmax, x - 1) + 1):
-                if x > (m << level):
-                    cur[m] = 1.0
-                    continue
-                row = pmf_row(2 * m)
-                hi = min(2 * m, x - 1)
-                lo = 2 * m - hi
-                acc = sum(
-                    map(mul, map(mul, row[lo:m], prev[lo:m]), prev[2 * m - lo : m : -1])
-                )
-                cur[m] = 2.0 * acc + row[m] * prev[m] * prev[m]
-            prev = cur
-        return prev[1]
-
     top = 1 << n
-    cdf = tuple(one_x(x) for x in range(1, top + 2))
+    rows = {k: _binom_pmf_row(k) for k in range(2, top + 1, 2)}
+    cdf = tuple(_level_sweep(1, n, x, rows, lambda e: 1.0) for x in range(1, top + 2))
     expected = float(top) - sum(cdf[:top])
     return expected, cdf
 
@@ -305,7 +234,7 @@ def _full_walks(g: LabeledDigraph, start: int, n: int, limits: Limits):
         raise ResourceLimitError(
             f"more than {limits.max_walks} walks of {n + 1} vertices"
         )
-    return [w for w in walks_from(g, start, n + 1) if len(w) == n + 1]
+    return walks_from(g, start, n + 1)
 
 
 def _max_occurrence(walks, labeling_bits: int) -> int:

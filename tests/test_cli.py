@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from mfskit import ReductionVerdict
 from mfskit.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
 
@@ -101,10 +103,23 @@ def test_df_exact_refusal_exit_code(capsys):
 
 
 def test_df_float_force_overrides(capsys):
-    out = run(capsys, ["df", "exact-tree", "-n", "4", "--float", "--force",
-                       "--max-exact-rounds", "3"])
+    argv = ["df", "exact-tree", "-n", "4", "--float", "--max-exact-rounds", "3"]
+    run(capsys, argv, expect=EXIT_RESOURCE)
+    out = run(capsys, argv + ["--force"])
     report = json.loads(out.out)
     assert abs(report["success_probability"] - 0.2728901654) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--float", "--force", "--max-exact-rounds", "3"]]
+)
+def test_df_sweep_entries_match_single_rounds(capsys, flags):
+    sweep = json.loads(run(capsys, ["df", "exact-tree", "--sweep", "1:4", *flags]).out)
+    singles = [
+        json.loads(run(capsys, ["df", "exact-tree", "-n", str(n), *flags]).out)
+        for n in range(1, 5)
+    ]
+    assert sweep == singles
 
 
 def test_mfs_resource_refusal(capsys, tmp_path):

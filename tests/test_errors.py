@@ -1,3 +1,5 @@
+import pytest
+
 from mfskit import Limits
 from mfskit.errors import MfskitError, ResourceLimitError
 
@@ -17,6 +19,13 @@ def test_env_overrides(monkeypatch):
     assert limits.max_walks == 1024
     assert limits.max_exact_rounds == 5
     assert limits.max_sequences == 2**26  # untouched
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_env_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("MFSKIT_MAX_WALKS", raw)
+    with pytest.raises(MfskitError, match=f"MFSKIT_MAX_WALKS.*'{raw}'"):
+        Limits.from_env()
 
 
 def test_resource_error_is_a_package_error():

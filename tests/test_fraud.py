@@ -112,11 +112,11 @@ def test_recursion_matches_generalized_tree_enumeration(m, n):
         ), (m, n, x)
 
 
-def test_recursion_memo_is_reusable_per_threshold():
-    memo: dict = {}
-    a = recursive_prob(2, 3, 5, memo)
-    b = recursive_prob(2, 3, 5, memo)
-    assert a == b and memo
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_recursion_matches_tree_sweep(n):
+    cdf = expected_max_tree(n).cdf
+    for x in range(1, 2**n + 2):
+        assert recursive_prob(1, n, x) == cdf.prob_below(x), (n, x)
 
 
 # -- expectation sweep -------------------------------------------------------------
@@ -170,7 +170,7 @@ def test_float_mode_tracks_exact():
             exact.expected_max
         )
         for a, b in zip(cdf, exact.cdf.values):
-            assert abs(a - float(b)) <= 1e-12
+            assert type(a) is float and abs(a - float(b)) <= 1e-12
 
 
 def test_exact_mode_refuses_large_rounds():

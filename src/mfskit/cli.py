@@ -33,6 +33,7 @@ from .cnf import parse_dimacs
 from .protocol import (
     AdversaryStrategy,
     ProtocolConfig,
+    RateReport,
     estimate_success_rate,
     run_session,
 )
@@ -275,11 +276,16 @@ def _cmd_simulate(args) -> int:
     )
     strategy = AdversaryStrategy(args.adversary)
     if args.transcripts:
+        # each trial is played once: its transcript also carries the decision
+        accepted = 0
         with open(args.transcripts, "w", encoding="utf-8") as fh:
             for t in range(config.trials):
                 transcript = run_session(config, strategy, trial_index=t, limits=limits)
+                accepted += transcript.accepted
                 fh.write(json.dumps(transcript.to_json_dict()) + "\n")
-    report = estimate_success_rate(config, strategy, limits=limits)
+        report = RateReport.from_count(config, strategy, accepted)
+    else:
+        report = estimate_success_rate(config, strategy, limits=limits)
     _emit(args, report.to_json_dict())
     return EXIT_OK
 

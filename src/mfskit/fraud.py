@@ -41,9 +41,10 @@ from .graphs import LabeledDigraph
 from .walks import count_walks, walks_from
 
 
-def _binom_rows(kmax: int) -> list[list[int]]:
+def _binom_rows(mmax: int) -> list[list[int]]:
+    # rows[m][i] = C(2m, i): the even rows are the only ones the sweep reads
     rows = []
-    for k in range(kmax + 1):
+    for k in range(0, 2 * mmax + 1, 2):
         row = [1] * (k + 1)
         for i in range(1, k + 1):
             row[i] = row[i - 1] * (k - i + 1) // i
@@ -61,7 +62,7 @@ def _level_sweep(m_top: int, n: int, x: int, rows, unit):
 
     Level l holds parameters m = 0 .. m_top * 2**(n-l); each pass consumes
     the level below through the binomial-weighted symmetric sum.  The
-    arithmetic is the caller's: rows[2m] holds the weights C(2m, i) and
+    arithmetic is the caller's: rows[m] holds the weights C(2m, i) and
     unit(e) is probability one over 2**e, so integer rows with
     unit = (1).__lshift__ give exact numerators over 2**(c_n * m_top), and
     float pmf rows with unit(e) = 1.0 give floats.
@@ -74,7 +75,7 @@ def _level_sweep(m_top: int, n: int, x: int, rows, unit):
         elif x > 2 * m:
             prev.append(unit(2 * m))
         else:
-            row = rows[2 * m]
+            row = rows[m]
             prev.append(row[m] + 2 * sum(row[m + 1 : x]))
     for level in range(2, n + 1):
         c = _level_exponent(level)
@@ -84,7 +85,7 @@ def _level_sweep(m_top: int, n: int, x: int, rows, unit):
             if x > (m << level):
                 cur[m] = unit(c * m)
                 continue
-            row = rows[2 * m]
+            row = rows[m]
             hi = min(2 * m, x - 1)
             lo = 2 * m - hi
             acc = sum(
@@ -111,14 +112,14 @@ def recursive_prob(m: int, n: int, x: int) -> DyadicProbability:
     """Exact Pr(M(m, n) < x) for the fan tree with 2m root children."""
     if m < 0 or n < 1 or x < 1:
         raise ValueError("need m >= 0, n >= 1 and x >= 1")
-    rows = _binom_rows(m << n)
+    rows = _binom_rows(m << (n - 1))
     numer = _level_sweep(m, n, x, rows, (1).__lshift__)
     return DyadicProbability(numer, _level_exponent(n) * m)
 
 
 def _sweep_chunk(args: tuple[int, int, int]) -> list[int]:
     n, x_lo, x_hi = args
-    rows = _binom_rows(1 << n)
+    rows = _binom_rows(1 << (n - 1))
     unit = (1).__lshift__
     return [_level_sweep(1, n, x, rows, unit) for x in range(x_lo, x_hi)]
 
@@ -217,7 +218,7 @@ def expected_max_tree_float(
             "pass force=True (CLI: --force) to run float mode anyway"
         )
     top = 1 << n
-    rows = {k: _binom_pmf_row(k) for k in range(2, top + 1, 2)}
+    rows = [_binom_pmf_row(2 * m) for m in range(top // 2 + 1)]
     cdf = tuple(_level_sweep(1, n, x, rows, lambda e: 1.0) for x in range(1, top + 2))
     expected = float(top) - sum(cdf[:top])
     return expected, cdf

@@ -17,6 +17,12 @@ in ascending id order, one bit deciding which out-edge is labeled "0".
 
 Timing is abstract: per-round boolean flags stand in for the round-trip
 time check, applied identically to every strategy.
+
+One session core (`_play`) derives each trial's nonces, labeling,
+challenges, expected labels and responses.  `run_session` records its
+transcript and the rate estimator reads only its decision, so both agree
+on every trial and raise the same errors; a transcript export plays each
+trial once.
 """
 
 from __future__ import annotations
@@ -191,21 +197,8 @@ class SessionTranscript:
     failed_round: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "verifier_nonce": self.verifier_nonce,
-            "prover_nonce": self.prover_nonce,
-            "rounds": [
-                {
-                    "challenge": r.challenge,
-                    "response": r.response,
-                    "expected": r.expected,
-                    "timing_ok": r.timing_ok,
-                }
-                for r in self.rounds
-            ],
-            "accepted": self.accepted,
-            "failed_round": self.failed_round,
-        }
+        # fields in declaration order, each round as a dict of its own
+        return {**vars(self), "rounds": [dict(vars(r)) for r in self.rounds]}
 
 
 def _trial_seed(seed: int, index: int) -> int:
@@ -247,8 +240,9 @@ def _replies_for(
     return tuple(replies)
 
 
-def _verifier_walk(labeled: LabeledDigraph, start: int, challenges) -> list[int]:
-    walk = []
+def _expected_labels(labeled: LabeledDigraph, start: int, challenges) -> tuple:
+    """The verifier's walk: the label of each vertex the challenges reach."""
+    expected = []
     v = start
     for c in challenges:
         nxt = labeled.successor(v, c)
@@ -258,8 +252,35 @@ def _verifier_walk(labeled: LabeledDigraph, start: int, challenges) -> list[int]
                 "graph dead-ends before the last round"
             )
         v = nxt
-        walk.append(v)
-    return walk
+        expected.append(labeled.labels[v])
+    return tuple(expected)
+
+
+def _play(config, strategy, trial_index, limits) -> tuple:
+    """The one session core: every session, with or without a transcript,
+    is played here, so both readers see the same decision and errors.
+
+    Returns (verifier_nonce, prover_nonce, challenges, responses, expected,
+    timing, failed_round), where failed_round is None for an accepted
+    session.
+    """
+    rng = random.Random(_trial_seed(config.seed, trial_index))
+    verifier_nonce = rng.getrandbits(64).to_bytes(8, "big")
+    prover_nonce = rng.getrandbits(64).to_bytes(8, "big")
+    labeled = config.labeler(config.graph, config.key, verifier_nonce, prover_nonce)
+    challenges = [str(rng.getrandbits(1)) for _ in range(config.rounds)]
+    expected = _expected_labels(labeled, config.start, challenges)
+    if strategy.kind == "honest":
+        responses = expected  # the honest prover runs the same walk
+    else:
+        responses = _replies_for(strategy, labeled, config.start, config.rounds, limits)
+    timing = config.timing_flags()
+    failed = None
+    for i, (ok, r, e) in enumerate(zip(timing, responses, expected), 1):
+        if not ok or r != e:
+            failed = i
+            break
+    return verifier_nonce, prover_nonce, challenges, responses, expected, timing, failed
 
 
 def run_session(
@@ -269,41 +290,24 @@ def run_session(
     trial_index: int = 0,
     limits: Limits = DEFAULT_LIMITS,
 ) -> SessionTranscript:
-    """Execute one full session; deterministic in (config.seed, trial_index)."""
-    rng = random.Random(_trial_seed(config.seed, trial_index))
-    verifier_nonce = rng.getrandbits(64).to_bytes(8, "big")
-    prover_nonce = rng.getrandbits(64).to_bytes(8, "big")
-    labeled = config.labeler(
-        config.graph, config.key, verifier_nonce, prover_nonce
+    """Play one session and record its transcript; deterministic in
+    (config.seed, trial_index) and decided exactly as the rate estimator
+    decides the same trial."""
+    nonce_v, nonce_p, challenges, responses, expected, timing, failed = _play(
+        config, strategy, trial_index, limits
     )
-    challenges = [str(rng.getrandbits(1)) for _ in range(config.rounds)]
-    timing = config.timing_flags()
-
-    walk = _verifier_walk(labeled, config.start, challenges)
-    expected = [labeled.labels[v] for v in walk]
-    if strategy.kind == "honest":
-        responses = expected[:]  # the honest prover runs the same walk
-    else:
-        responses = list(
-            _replies_for(strategy, labeled, config.start, config.rounds, limits)
-        )
-
-    records = []
-    failed = None
-    for i in range(config.rounds):
-        ok = timing[i] and responses[i] == expected[i]
-        records.append(
-            RoundRecord(challenges[i], responses[i], expected[i], timing[i])
-        )
-        if not ok and failed is None:
-            failed = i + 1
     return SessionTranscript(
-        verifier_nonce=verifier_nonce.hex(),
-        prover_nonce=prover_nonce.hex(),
-        rounds=tuple(records),
+        verifier_nonce=nonce_v.hex(),
+        prover_nonce=nonce_p.hex(),
+        rounds=tuple(map(RoundRecord, challenges, responses, expected, timing)),
         accepted=failed is None,
         failed_round=failed,
     )
+
+
+def _session_accepts(config, strategy, trial_index, limits) -> bool:
+    # transcript-free reader of the session core: its failed round
+    return _play(config, strategy, trial_index, limits)[-1] is None
 
 
 @dataclass(frozen=True)
@@ -314,6 +318,13 @@ class RateReport:
     std_error: float
     seed: int
     strategy: str
+
+    @classmethod
+    def from_count(cls, config, strategy, accepted: int) -> RateReport:
+        """Rate and binomial standard error of `accepted` of config.trials."""
+        rate = accepted / config.trials
+        std_error = sqrt(rate * (1.0 - rate) / config.trials)
+        return cls(config.trials, accepted, rate, std_error, config.seed, strategy.kind)
 
     def to_json_dict(self) -> dict:
         return {
@@ -335,43 +346,15 @@ def estimate_success_rate(
     """Acceptance rate over config.trials independent sessions.
 
     Each trial derives its own stream from (seed, trial index), so results
-    are order-independent and reproducible.
+    are order-independent and reproducible.  Trials are played by the same
+    session core as `run_session`, without building transcripts; a session
+    that `run_session` would refuse raises here too.
     """
-    accepted = 0
-    for t in range(config.trials):
-        if _session_accepts(config, strategy, t, limits):
-            accepted += 1
-    rate = accepted / config.trials
-    std_error = sqrt(rate * (1.0 - rate) / config.trials)
-    return RateReport(
-        trials=config.trials,
-        accepted=accepted,
-        rate=rate,
-        std_error=std_error,
-        seed=config.seed,
-        strategy=strategy.kind,
+    accepted = sum(
+        _session_accepts(config, strategy, t, limits)
+        for t in range(config.trials)
     )
-
-
-def _session_accepts(config, strategy, trial_index, limits) -> bool:
-    # transcript-free fast path; must mirror run_session's decision
-    rng = random.Random(_trial_seed(config.seed, trial_index))
-    verifier_nonce = rng.getrandbits(64).to_bytes(8, "big")
-    prover_nonce = rng.getrandbits(64).to_bytes(8, "big")
-    labeled = config.labeler(
-        config.graph, config.key, verifier_nonce, prover_nonce
-    )
-    challenges = [str(rng.getrandbits(1)) for _ in range(config.rounds)]
-    timing = config.timing_flags()
-    if not all(timing):
-        return False
-    walk = _verifier_walk(labeled, config.start, challenges)
-    if strategy.kind == "honest":
-        return True
-    replies = _replies_for(strategy, labeled, config.start, config.rounds, limits)
-    return all(
-        labeled.labels[v] == replies[i] for i, v in enumerate(walk)
-    )
+    return RateReport.from_count(config, strategy, accepted)
 
 
 def exhaustive_challenge_success(
@@ -389,18 +372,9 @@ def exhaustive_challenge_success(
     """
     if labeled.edge_labels is None:
         raise ProtocolError("exhaustive challenge runs need edge labels")
-    if replies is None:
-        replies = most_frequent_sequence(
-            labeled, start, rounds + 1, limits=limits
-        ).sequence[1:]
-    else:
-        replies = tuple(replies)
-        if len(replies) != rounds:
-            raise ValueError(f"need {rounds} reply symbols")
+    replies = _replies_for(early_reply(replies), labeled, start, rounds, limits)
     accepted = 0
     for mask in range(1 << rounds):
         challenges = [str((mask >> i) & 1) for i in range(rounds)]
-        walk = _verifier_walk(labeled, start, challenges)
-        if all(labeled.labels[v] == replies[i] for i, v in enumerate(walk)):
-            accepted += 1
+        accepted += _expected_labels(labeled, start, challenges) == replies
     return accepted, 1 << rounds

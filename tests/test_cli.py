@@ -217,6 +217,17 @@ def test_simulate_transcript_export(capsys, tmp_path):
     for line in lines:
         record = json.loads(line)
         assert record["accepted"] is True  # honest default
+    # an early-reply report counts the accepted transcripts it wrote and
+    # equals the report printed without --transcripts
+    argv = ["simulate", "--protocol", "tree", "-n", "3", "--trials", "200",
+            "--adversary", "early-reply", "--seed", "4"]
+    with_file = run(capsys, argv + ["--transcripts", str(path)]).out
+    lines = path.read_text().splitlines()
+    assert len(lines) == 200
+    accepted = sum(json.loads(line)["accepted"] for line in lines)
+    assert 0 < accepted < 200
+    assert json.loads(with_file)["accepted"] == accepted
+    assert with_file == run(capsys, argv).out
 
 
 def test_simulate_needs_a_graph(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from mfskit import (
     LabeledDigraph,
+    Limits,
     ProtocolConfig,
     ProtocolError,
     early_reply,
@@ -19,7 +20,8 @@ from mfskit import (
     occ_count,
     run_session,
 )
-from mfskit.protocol import AdversaryStrategy, PrfStream
+from mfskit.errors import ResourceLimitError
+from mfskit.protocol import AdversaryStrategy, PrfStream, _session_accepts
 
 
 # -- session labeling ------------------------------------------------------------
@@ -198,6 +200,59 @@ def test_estimate_deterministic_and_consistent_with_sessions():
         for t in range(config.trials)
     )
     assert accepted == report.accepted
+
+
+DEAD_END = LabeledDigraph(("0", "1"), ("0",), ((),), ((),))
+
+
+@pytest.mark.parametrize(
+    "graph, rounds, strategy, limits, error, match",
+    [
+        (DEAD_END, 1, honest(), Limits(), ProtocolError, "dead-ends"),
+        (make_tree(2), 2, early_reply("0"), Limits(), ValueError,
+         "cover 1 rounds, need 2"),
+        (make_tree(2), 2, early_reply(), Limits(max_walks=2, max_sequences=2),
+         ResourceLimitError, None),
+    ],
+    ids=["dead-end", "short-replies", "mfs-limit"],
+)
+def test_estimate_raises_like_run_session_despite_failed_timing(
+    graph, rounds, strategy, limits, error, match
+):
+    # a failing timing flag must not hide an error run_session raises
+    timing = (False,) + (True,) * (rounds - 1)
+    config = ProtocolConfig(graph=graph, start=0, rounds=rounds, timing=timing)
+    with pytest.raises(error, match=match):
+        run_session(config, strategy, limits=limits)
+    with pytest.raises(error, match=match):
+        estimate_success_rate(config, strategy, limits=limits)
+
+
+@pytest.mark.parametrize(
+    "graph, rounds, timing",
+    [
+        (make_tree(3), 3, "all-pass"),
+        (make_poulidor(4), 4, "all-pass"),
+        (make_tree(3), 3, (True, True, False)),
+    ],
+    ids=["tree", "poulidor", "failing-timing"],
+)
+@pytest.mark.parametrize("strategy", [honest(), early_reply(), greedy_early_reply()],
+                         ids=lambda s: s.kind)
+def test_transcript_decision_matches_fast_path(graph, rounds, timing, strategy):
+    config = ProtocolConfig(
+        graph=graph, start=0, rounds=rounds, trials=200, seed=21, timing=timing
+    )
+    limits = Limits()
+    flags = [
+        run_session(config, strategy, trial_index=t, limits=limits).accepted
+        for t in range(config.trials)
+    ]
+    assert flags == [
+        _session_accepts(config, strategy, t, limits) for t in range(config.trials)
+    ]
+    report = estimate_success_rate(config, strategy, limits=limits)
+    assert sum(flags) == report.accepted
 
 
 def test_honest_rate_is_one():

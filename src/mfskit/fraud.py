@@ -117,11 +117,13 @@ def recursive_prob(m: int, n: int, x: int) -> DyadicProbability:
     return DyadicProbability(numer, _level_exponent(n) * m)
 
 
-def _sweep_chunk(args: tuple[int, int, int]) -> list[int]:
-    n, x_lo, x_hi = args
+def _sweep_stride(args: tuple[int, int, int]) -> list[int]:
+    # thresholds x = 1 + first, 1 + first + step, ..., one table per call
+    n, first, step = args
     rows = _binom_rows(1 << (n - 1))
     unit = (1).__lshift__
-    return [_level_sweep(1, n, x, rows, unit) for x in range(x_lo, x_hi)]
+    xs = range(1 + first, (1 << n) + 2, step)
+    return [_level_sweep(1, n, x, rows, unit) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -154,11 +156,15 @@ def expected_max_tree(
     binary tree of depth n under uniform random labeling.
 
     Sweeps x = 1 .. 2**n + 1 with an independent pass per threshold, so
-    memory stays at one level table per pass; the sweep may be partitioned
-    across processes (`workers`), results merge deterministically.
+    memory stays at one level table per pass.  With `workers` > 1, worker
+    i sweeps x = 1+i, 1+i+workers, ... in its own process with one binomial
+    table; the stride balances the uneven cost per threshold, and the
+    results interleave back deterministically.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     if n > limits.max_exact_rounds:
         raise ResourceLimitError(
             f"exact mode is limited to n <= {limits.max_exact_rounds}; "
@@ -166,14 +172,13 @@ def expected_max_tree(
         )
     top = 1 << n
     if workers > 1:
-        chunk = max(1, (top + 1) // (workers * 4))
-        tasks = [(n, lo, min(lo + chunk, top + 2)) for lo in range(1, top + 2, chunk)]
-        numerators: list[int] = []
+        numerators = [0] * (top + 1)
+        tasks = [(n, i, workers) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_sweep_chunk, tasks):
-                numerators.extend(part)
+            for i, part in enumerate(pool.map(_sweep_stride, tasks)):
+                numerators[i::workers] = part
     else:
-        numerators = _sweep_chunk((n, 1, top + 2))
+        numerators = _sweep_stride((n, 0, 1))
     d = _level_exponent(n)
     # E[M] = sum_{x=1}^{2^n} Pr(M >= x)
     shortfall = sum(numerators[:top])

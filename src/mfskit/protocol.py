@@ -8,12 +8,16 @@ matches its own walk and every round's timing flag passes.
 
 The pseudorandom function is NOT a cryptographic primitive here, only a
 fixed, documented bit stream so that runs are reproducible: the seed is
-the first 8 bytes (big endian) of BLAKE2b over ``len(key) || key || len(N_V)
-|| N_V || len(N_P) || N_P`` (lengths as 4-byte big-endian prefixes), and
-bits come from the splitmix64 sequence of that seed, each 64-bit block
-consumed least-significant bit first.  Bit assignment order: one label bit
-per vertex in ascending id order, then for each vertex with two out-edges
-in ascending id order, one bit deciding which out-edge is labeled "0".
+the 8-byte BLAKE2b digest (``digest_size=8``, read big endian) of
+``len(key) || key || len(N_V) || N_V || len(N_P) || N_P`` (lengths as
+4-byte big-endian prefixes), and bits come from the splitmix64 sequence of
+that seed, each 64-bit block consumed least-significant bit first.  Bit
+assignment order: one label bit per vertex in ascending id order (bit b
+gives the label str(b)), then for each vertex with two out-edges in
+ascending id order, one bit deciding which out-edge is labeled "0" (a 1
+labels the second one "0").  A single out-edge is labeled "0".  The
+labeler reads this prefix of the stream in one draw of 2n bits for n
+vertices, which covers the n label bits and at most n edge bits.
 
 Timing is abstract: per-round boolean flags stand in for the round-trip
 time check, applied identically to every strategy.
@@ -49,31 +53,13 @@ def _splitmix64(state: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
-class PrfStream:
-    """Deterministic bit stream from a 64-bit seed (splitmix64 blocks,
-    least-significant bit first)."""
-
-    def __init__(self, seed: int):
-        self._blocks = _splitmix64(seed & _MASK64)
-        self._buf = 0
-        self._left = 0
-
-    def bit(self) -> int:
-        return self.bits(1)
-
-    def bits(self, k: int) -> int:
-        out = 0
-        filled = 0
-        while filled < k:
-            if self._left == 0:
-                self._buf = next(self._blocks)
-                self._left = 64
-            take = min(k - filled, self._left)
-            out |= (self._buf & ((1 << take) - 1)) << filled
-            self._buf >>= take
-            self._left -= take
-            filled += take
-        return out
+def _prf_word(seed: int, k: int) -> int:
+    """The first k bits of the stream as one integer, stream bit i at bit i."""
+    blocks = _splitmix64(seed & _MASK64)
+    word = 0
+    for shift in range(0, k, 64):
+        word |= next(blocks) << shift
+    return word & ((1 << k) - 1)
 
 
 def prf_seed(key: bytes, verifier_nonce: bytes, prover_nonce: bytes) -> int:
@@ -94,22 +80,23 @@ def label_graph_from_prf(
     degree-2 vertex choosing its "0" out-edge.  Deterministic in
     (key, nonces); single out-edges are labeled "0"."""
     n = structure.vertex_count
-    stream = PrfStream(prf_seed(key, verifier_nonce, prover_nonce))
-    word = stream.bits(n)
-    labels = tuple("1" if (word >> v) & 1 else "0" for v in range(n))
+    # one draw covers the n label bits and at most n edge bits
+    word = _prf_word(prf_seed(key, verifier_nonce, prover_nonce), 2 * n)
+    # the sentinel bit n keeps leading zeros; reversed, stream bit 0 comes first
+    labels = tuple(format((word & ((1 << n) - 1)) | (1 << n), "b")[:0:-1])
+    word >>= n
     edge_labels = []
-    for v in range(n):
-        deg = len(structure.out_edges[v])
-        if deg == 0:
-            edge_labels.append(())
-        elif deg == 1:
-            edge_labels.append(("0",))
-        elif deg == 2:
-            edge_labels.append(("1", "0") if stream.bits(1) else ("0", "1"))
-        else:
+    for v, row in enumerate(structure.out_edges):
+        deg = len(row)
+        if deg == 2:
+            edge_labels.append(("1", "0") if word & 1 else ("0", "1"))
+            word >>= 1
+        elif deg > 2:
             raise ProtocolError(
                 f"vertex {v} has out-degree {deg}; protocol graphs need <= 2"
             )
+        else:
+            edge_labels.append(("0",) * deg)
     return LabeledDigraph._unchecked(
         ("0", "1"),
         labels,
@@ -159,6 +146,7 @@ class ProtocolConfig:
     key: bytes = b"shared-secret"
     trials: int = 1
     seed: int = 0
+    # one flag per round; "all-pass" is accepted and stored as all True
     timing: str | tuple[bool, ...] = "all-pass"
     # session-labeling hook, replaceable by any function with the same
     # signature (structure, key, verifier_nonce, prover_nonce) -> graph
@@ -168,16 +156,15 @@ class ProtocolConfig:
         self.graph.check_vertex(self.start)
         if self.rounds < 1:
             raise ValueError("need at least one round")
-        if self.timing != "all-pass":
-            flags = tuple(bool(b) for b in self.timing)
-            if len(flags) != self.rounds:
-                raise ValueError("timing flags must cover every round")
-            object.__setattr__(self, "timing", flags)
-
-    def timing_flags(self) -> tuple[bool, ...]:
+        if self.trials < 1:
+            raise ValueError("need at least one trial")
         if self.timing == "all-pass":
-            return (True,) * self.rounds
-        return self.timing  # type: ignore[return-value]
+            flags = (True,) * self.rounds
+        else:
+            flags = tuple(bool(b) for b in self.timing)
+        if len(flags) != self.rounds:
+            raise ValueError("timing flags must cover every round")
+        object.__setattr__(self, "timing", flags)
 
 
 @dataclass(frozen=True)
@@ -274,7 +261,7 @@ def _play(config, strategy, trial_index, limits) -> tuple:
         responses = expected  # the honest prover runs the same walk
     else:
         responses = _replies_for(strategy, labeled, config.start, config.rounds, limits)
-    timing = config.timing_flags()
+    timing = config.timing
     failed = None
     for i, (ok, r, e) in enumerate(zip(timing, responses, expected), 1):
         if not ok or r != e:

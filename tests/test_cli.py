@@ -86,6 +86,13 @@ def test_df_exact_threads_match_serial(capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_df_exact_threads_below_one(capsys, value):
+    out = run(capsys, ["df", "exact-tree", "-n", "3", "--threads", value],
+              expect=EXIT_INPUT)
+    assert "need workers >= 1" in out.err
+
+
 def test_df_sweep_csv(capsys):
     out = run(capsys, ["df", "exact-tree", "--sweep", "1:3", "--format", "csv"])
     lines = out.out.strip().splitlines()
@@ -206,6 +213,23 @@ def test_simulate_matches_golden(capsys):
                        "--trials", "500", "--adversary", "early-reply",
                        "--seed", "9"])
     assert out.out == (GOLDEN / "simulate_tree_n2.json").read_text()
+
+
+def test_simulate_multi_block_transcripts_match_golden(capsys, tmp_path):
+    # tree n=6 draws 190 stream bits per session: three splitmix64 blocks
+    path = tmp_path / "sessions.jsonl"
+    run(capsys, ["simulate", "--protocol", "tree", "-n", "6", "--trials", "20",
+                 "--adversary", "early-reply", "--seed", "5",
+                 "--transcripts", str(path)])
+    golden = GOLDEN / "simulate_tree_n6_transcripts.jsonl"
+    assert path.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_simulate_trials_below_one(capsys, trials):
+    out = run(capsys, ["simulate", "--protocol", "tree", "-n", "2",
+                       "--trials", trials], expect=EXIT_INPUT)
+    assert "need at least one trial" in out.err
 
 
 def test_simulate_transcript_export(capsys, tmp_path):

@@ -157,9 +157,17 @@ def test_success_probability_monotone_in_rounds():
 
 def test_parallel_sweep_matches_serial():
     serial = expected_max_tree(4)
-    parallel = expected_max_tree(4, workers=2)
-    assert serial.expected_max == parallel.expected_max
-    assert serial.cdf == parallel.cdf
+    # 3 workers split the 17 thresholds into uneven strides of 6, 6 and 5
+    for workers in (2, 3):
+        parallel = expected_max_tree(4, workers=workers)
+        assert serial.expected_max == parallel.expected_max
+        assert serial.cdf == parallel.cdf
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_sweep_needs_a_worker(workers):
+    with pytest.raises(ValueError, match="need workers >= 1"):
+        expected_max_tree(2, workers=workers)
 
 
 def test_float_mode_tracks_exact():

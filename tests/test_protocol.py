@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -21,18 +22,58 @@ from mfskit import (
     run_session,
 )
 from mfskit.errors import ResourceLimitError
-from mfskit.protocol import AdversaryStrategy, PrfStream, _session_accepts
+from mfskit.protocol import AdversaryStrategy, _session_accepts
 
 
 # -- session labeling ------------------------------------------------------------
 
 
-def test_prf_stream_bit_order():
-    # bits() must agree with repeated single-bit extraction
-    a = PrfStream(123)
-    b = PrfStream(123)
-    word = a.bits(100)
-    assert word == sum(b.bits(1) << i for i in range(100))
+def _spec_labeling(structure, key, verifier_nonce, prover_nonce):
+    """The session labeling recomputed from the module docstring alone."""
+    h = hashlib.blake2b(digest_size=8)
+    for part in (key, verifier_nonce, prover_nonce):
+        h.update(len(part).to_bytes(4, "big") + part)
+    state = int.from_bytes(h.digest(), "big")
+    mask = (1 << 64) - 1
+    n = structure.vertex_count
+    bits = []
+    while len(bits) < 2 * n:  # n label bits and at most n edge bits
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        bits.extend((z >> i) & 1 for i in range(64))
+    labels = [str(b) for b in bits[:n]]
+    edge_bits = iter(bits[n:])
+    edge_labels = []
+    for row in structure.out_edges:
+        if len(row) == 2:
+            edge_labels.append(("1", "0") if next(edge_bits) else ("0", "1"))
+        else:
+            edge_labels.append(("0",) * len(row))
+    return LabeledDigraph(
+        ("0", "1"), labels, structure.out_edges, edge_labels, structure.names
+    )
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [
+        make_tree(2),
+        make_tree(6),  # 127 label bits + 63 edge bits: three splitmix64 blocks
+        make_poulidor(6),
+        make_poulidor(40),  # 80 edge bits: more than one block's worth
+        LabeledDigraph(("0", "1"), ("0",) * 4, ((1, 2), (3,), (), (0, 1))),
+        LabeledDigraph(("0", "1"), (), ()),
+    ],
+    ids=["tree2", "tree6", "poulidor6", "poulidor40", "degrees0-1-2", "empty"],
+)
+def test_labeling_matches_stream_spec(structure):
+    for t in range(40):
+        nonce = t.to_bytes(2, "big")
+        expected = _spec_labeling(structure, b"key", nonce, b"np")
+        assert label_graph_from_prf(structure, b"key", nonce, b"np") == expected
 
 
 def test_labeling_deterministic():
@@ -110,6 +151,19 @@ def test_failed_timing_flag_rejects_at_that_round():
 def test_timing_flags_must_cover_rounds():
     with pytest.raises(ValueError, match="cover every round"):
         ProtocolConfig(graph=make_tree(3), start=0, rounds=3, timing=(True,))
+
+
+def test_timing_is_stored_as_one_flag_per_round():
+    config = ProtocolConfig(graph=make_tree(3), start=0, rounds=3)
+    assert config.timing == (True, True, True)
+    config = ProtocolConfig(graph=make_tree(3), start=0, rounds=3, timing=[1, 0, 1])
+    assert config.timing == (True, False, True)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_config_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="need at least one trial"):
+        ProtocolConfig(graph=make_tree(2), start=0, rounds=2, trials=trials)
 
 
 def test_transcript_json_shape():

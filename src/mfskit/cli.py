@@ -380,6 +380,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise MfskitError(f"--threads: need workers >= 1, got {args.threads}")
         if args.command == "df" and args.method == "exact-tree":
             if not args.sweep and args.rounds is None:
                 raise MfskitError("exact-tree needs --rounds or --sweep")

@@ -24,16 +24,23 @@ two are already divided out and probability one is 1.0.
 Two exact facts prune the state space: M(m, n) >= m always, so the
 probability is 0 when x <= m; and M(m, n) <= m * 2**n with equality on the
 all-equal labeling, so the probability is 1 when x exceeds that.
+
+Brute force and Monte Carlo work on any graph.  They list the walks of
+n+1 vertices once, and `_occurrence_scorer` turns that list into one
+gather, one split into per-walk keys and one `Counter`, so each labeling
+is scored with a few C-level calls and no Python loop over walks.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
-from operator import mul
+from operator import itemgetter, mul
+from struct import Struct
 
 from .dyadic import DyadicProbability
 from .errors import DEFAULT_LIMITS, Limits, MfskitError, ResourceLimitError
@@ -243,19 +250,28 @@ def _full_walks(g: LabeledDigraph, start: int, n: int, limits: Limits):
     return walks_from(g, start, n + 1)
 
 
-def _max_occurrence(walks, labeling_bits: int) -> int:
-    counts: dict[int, int] = {}
-    best = 0
-    get = counts.get
-    for w in walks:
-        key = 0
-        for v in w:
-            key = (key << 1) | ((labeling_bits >> v) & 1)
-        c = get(key, 0) + 1
-        counts[key] = c
-        if c > best:
-            best = c
-    return best
+def _occurrence_scorer(walks, nv: int):
+    """Score function for one walk list: labeling bits -> maximum occurrence.
+
+    Bit v of the labeling is the label of vertex v.  Set-up gathers the
+    vertex ids of all walks into one `itemgetter` and builds a `Struct`
+    that cuts the gathered buffer into one k-byte key per walk.  Scoring a
+    labeling is then one format call, one gather and one unpack, with the
+    counting left to `Counter`.  Walks hold at least two vertices, so the
+    gather always returns a tuple.
+    """
+    if not walks:
+        return lambda bits: 0
+    gather = itemgetter(*[v for w in walks for v in w])
+    split = Struct(f"{len(walks[0])}s" * len(walks)).unpack
+    top = 1 << nv
+
+    def score(bits: int) -> int:
+        # reversed binary with a sentinel top bit: labels[v] is bit v
+        labels = format(bits | top, "b")[:0:-1].encode()
+        return max(Counter(split(bytes(gather(labels)))).values())
+
+    return score
 
 
 def brute_force_expected_max(
@@ -277,11 +293,8 @@ def brute_force_expected_max(
             f"{nv} vertices exceed the brute-force limit "
             f"{limits.max_brute_vertices} (2^{nv} labelings)"
         )
-    walks = _full_walks(g, start, n, limits)
-    total = 0
-    for lab in range(1 << nv):
-        total += _max_occurrence(walks, lab)
-    return Fraction(total, 1 << nv)
+    score = _occurrence_scorer(_full_walks(g, start, n, limits), nv)
+    return Fraction(sum(map(score, range(1 << nv))), 1 << nv)
 
 
 @dataclass(frozen=True)
@@ -360,13 +373,13 @@ def monte_carlo_expected_max(
     sampled labelings; deterministic for a fixed seed."""
     if samples < 1:
         raise ValueError("need samples >= 1")
-    walks = _full_walks(g, start, n, limits)
     nv = g.vertex_count
+    score = _occurrence_scorer(_full_walks(g, start, n, limits), nv)
     rng = random.Random(seed)
     total = 0
     total_sq = 0
     for _ in range(samples):
-        m = _max_occurrence(walks, rng.getrandbits(nv))
+        m = score(rng.getrandbits(nv))
         total += m
         total_sq += m * m
     mean = Fraction(total, samples)

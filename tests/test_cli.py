@@ -93,6 +93,28 @@ def test_df_exact_threads_below_one(capsys, value):
     assert "need workers >= 1" in out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["df", "exact-tree", "-n", "3", "--float"],
+    ["df", "mc", "--protocol", "tree", "-n", "2", "--samples", "10"],
+    ["df", "brute", "--protocol", "tree", "-n", "2"],
+    ["simulate", "--protocol", "tree", "-n", "2", "--trials", "5"],
+    ["generate", "tree", "-n", "2"],
+])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_on_every_command(capsys, argv, value):
+    out = run(capsys, argv + ["--threads", value], expect=EXIT_INPUT)
+    assert f"--threads: need workers >= 1, got {value}" in out.err
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["df", "mc", "--protocol", "tree", "-n", "6", "--samples", "4000", "--seed", "3"],
+     "df_mc_tree_n6.json"),
+    (["df", "brute", "--protocol", "poulidor", "-n", "6"], "df_brute_poulidor_n6.json"),
+])
+def test_df_sampling_matches_golden(capsys, argv, golden):
+    assert run(capsys, argv).out == (GOLDEN / golden).read_text()
+
+
 def test_df_sweep_csv(capsys):
     out = run(capsys, ["df", "exact-tree", "--sweep", "1:3", "--format", "csv"])
     lines = out.out.strip().splitlines()

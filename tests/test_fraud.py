@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from mfskit import (
     monte_carlo_expected_max,
     recursive_prob,
 )
+from mfskit import fraud
 from mfskit.walks import walks_from
+from conftest import random_binary_graph
 
 
 def enumerate_max_distribution(g, start, n, fixed_root_label=True) -> Counter:
@@ -197,6 +200,52 @@ def test_expected_max_rejects_bad_rounds():
 
 
 # -- brute force --------------------------------------------------------------------
+
+
+def max_occurrence_oracle(walks, labeling_bits: int) -> int:
+    """Per-walk oracle: one integer key per walk, counted in a dict."""
+    counts: dict[int, int] = {}
+    best = 0
+    for w in walks:
+        key = 0
+        for v in w:
+            key = (key << 1) | ((labeling_bits >> v) & 1)
+        c = counts.get(key, 0) + 1
+        counts[key] = c
+        if c > best:
+            best = c
+    return best
+
+
+def assert_scorer_matches_oracle(g, start, n, labelings):
+    walks = walks_from(g, start, n + 1)
+    score = fraud._occurrence_scorer(walks, g.vertex_count)
+    for bits in labelings:
+        assert score(bits) == max_occurrence_oracle(walks, bits), (walks, bits)
+    return len(walks)
+
+
+def test_scorer_matches_oracle_on_random_graphs():
+    rng = random.Random(61)
+    walk_counts = Counter()
+    for _ in range(400):
+        g = random_binary_graph(rng)
+        start = rng.randrange(g.vertex_count)
+        n = rng.randint(1, 5)
+        nv = g.vertex_count
+        labelings = [0, (1 << nv) - 1] + [rng.getrandbits(nv) for _ in range(20)]
+        walk_counts[min(assert_scorer_matches_oracle(g, start, n, labelings), 2)] += 1
+    # dead ends (no full walk, score 0), a single walk, and more
+    assert walk_counts[0] and walk_counts[1] and walk_counts[2]
+
+
+@pytest.mark.parametrize("g, n", [(make_tree(n), n) for n in range(1, 7)]
+                         + [(make_poulidor(n), n) for n in range(2, 9)])
+def test_scorer_matches_oracle_on_protocol_graphs(g, n):
+    rng = random.Random(n)
+    nv = g.vertex_count
+    labelings = [0, (1 << nv) - 1] + [rng.getrandbits(nv) for _ in range(200)]
+    assert_scorer_matches_oracle(g, 0, n, labelings)
 
 
 def test_brute_force_smallest_tree():

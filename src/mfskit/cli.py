@@ -19,7 +19,7 @@ import time
 from dataclasses import fields, replace
 
 from . import __version__
-from .errors import DEFAULT_LIMITS, Limits, MfskitError, ResourceLimitError
+from .errors import Limits, MfskitError, ResourceLimitError
 from .fraud import (
     brute_force_expected_max,
     distance_fraud_probability,
@@ -56,7 +56,7 @@ def _limits_from_args(args) -> Limits:
             raise MfskitError(
                 f"--{name.replace('_', '-')} must be a positive integer, got {value}"
             )
-    return replace(DEFAULT_LIMITS, **overrides)
+    return replace(Limits.from_env(), **overrides)
 
 
 def _emit(args, payload: dict | list) -> None:

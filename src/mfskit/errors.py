@@ -55,8 +55,10 @@ def _env_int(name, default):
 class Limits:
     """Explosion guards for the exponential search and enumeration paths.
 
-    Defaults can be overridden process-wide through the environment
-    variables named after each field (MFSKIT_MAX_WALKS etc.).
+    `Limits()` holds the defaults.  `Limits.from_env()` overrides them with
+    the environment variables named after each field (MFSKIT_MAX_WALKS
+    etc.); the CLI reads them that way each time it builds its limits, so
+    importing the package never reads the environment.
     """
 
     max_walks: int = 2**26
@@ -76,4 +78,4 @@ class Limits:
         )
 
 
-DEFAULT_LIMITS = Limits.from_env()
+DEFAULT_LIMITS = Limits()

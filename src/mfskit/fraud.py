@@ -14,6 +14,14 @@ every caller: the fan tree (`recursive_prob`, `base_case_prob`), the full
 binary tree behind `expected_max_tree`, and float mode.  The arithmetic
 is a parameter of the sweep.
 
+The paper's O(2**(2n) * n) bound counts recursion states (x, level, m).
+Here each state is a convolution of up to m pair terms, so the pair terms
+of a full sweep of the depth-n tree grow as Theta(8**n): 5,623, 42,279,
+327,239, 2,573,831 and 20,414,599 for n = 6 .. 10.  Most of them multiply
+by probability one, which the sweep replaces by shifts and prefix sums of
+the binomial row; the products of two factors that are not one number
+381, 3,394, 28,450, 232,573 and 1,879,733.
+
 All such probabilities are dyadic.  Internally a value at level n with
 parameter m is stored as an integer numerator over 2**(c_n * m) where
 c_1 = 2 and c_n = 2*c_{n-1} + 2; that exponent is linear in m, which makes
@@ -39,7 +47,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
-from operator import itemgetter, mul
+from itertools import accumulate
+from operator import itemgetter, lshift, mul
 from struct import Struct
 
 from .dyadic import DyadicProbability
@@ -48,15 +57,21 @@ from .graphs import LabeledDigraph
 from .walks import count_walks, walks_from
 
 
-def _binom_rows(mmax: int) -> list[list[int]]:
-    # rows[m][i] = C(2m, i): the even rows are the only ones the sweep reads
+def _binom_rows(mmax: int):
+    # rows[m] = (C(2m, i) for i <= m, prefix sums of that half row): the
+    # mirrored sweep reads nothing right of the middle
     rows = []
-    for k in range(0, 2 * mmax + 1, 2):
-        row = [1] * (k + 1)
-        for i in range(1, k + 1):
-            row[i] = row[i - 1] * (k - i + 1) // i
-        rows.append(row)
+    for m in range(mmax + 1):
+        row = [1] * (m + 1)
+        for i in range(1, m + 1):
+            row[i] = row[i - 1] * (2 * m - i + 1) // i
+        rows.append(_with_sums(row))
     return rows
+
+
+def _with_sums(row):
+    # sums[k] = row[0] + ... + row[k-1] for k = 0 .. len(row) - 1
+    return row, list(accumulate(row[:-1], initial=0 * row[0]))
 
 
 def _level_exponent(level: int) -> int:
@@ -64,42 +79,60 @@ def _level_exponent(level: int) -> int:
     return (1 << (level + 1)) - 2
 
 
-def _level_sweep(m_top: int, n: int, x: int, rows, unit):
+def _level_sweep(m_top: int, n: int, x: int, rows, scale):
     """Pr(M(m_top, n) < x), bottom-up from the depth-1 closed form.
 
-    Level l holds parameters m = 0 .. m_top * 2**(n-l); each pass consumes
-    the level below through the binomial-weighted symmetric sum.  The
-    arithmetic is the caller's: rows[m] holds the weights C(2m, i) and
-    unit(e) is probability one over 2**e, so integer rows with
-    unit = (1).__lshift__ give exact numerators over 2**(c_n * m_top), and
-    float pmf rows with unit(e) = 1.0 give floats.
+    Level l holds parameters m = 0 .. min(m_top * 2**(n-l), x - 1); each
+    pass consumes the level below through the binomial-weighted symmetric
+    sum, which reads no index at or above x.  The arithmetic is the
+    caller's: rows[m] holds the half row C(2m, i) for i <= m with its prefix
+    sums, and scale(v, e) is v * 2**e, so integer rows with operator.lshift
+    give exact numerators over 2**(c_n * m_top), and float pmf rows with
+    scale(v, e) = v give floats.
+
+    A value at level l is probability one, 2**(c_l * m) in exact numerators,
+    when x > m * 2**l.  With t the first index of the level below that is
+    not one, a pair term row[i] * prev[i] * prev[2m-i] (i < m) takes no
+    product when both factors are one (2m - t < i < t: a prefix sum of the
+    row, shifted), one product and a shift when only prev[2m-i] is not
+    (i < t), and two products when neither is (i >= t).
     """
-    zero = 0 * unit(0)  # 0 or 0.0, in the caller's arithmetic
+    one = rows[0][0][0]  # C(0, 0): 1 or 1.0, in the caller's arithmetic
+    if x <= m_top:
+        return 0 * one
     prev = []
-    for m in range((m_top << (n - 1)) + 1):
-        if x <= m:
-            prev.append(zero)
-        elif x > 2 * m:
-            prev.append(unit(2 * m))
+    for m in range(min(m_top << (n - 1), x - 1) + 1):
+        row, sums = rows[m]
+        if x > 2 * m:
+            prev.append(scale(one, 2 * m))
         else:
-            row = rows[m]
-            prev.append(row[m] + 2 * sum(row[m + 1 : x]))
+            # row[m] + 2 * (C(2m, m+1) + ... + C(2m, x-1)), mirrored
+            prev.append(row[m] + 2 * (sums[m] - sums[2 * m - x + 1]))
     for level in range(2, n + 1):
-        c = _level_exponent(level)
-        mmax = m_top << (n - level)
-        cur = [zero] * (mmax + 1)
-        for m in range(min(mmax, x - 1) + 1):
-            if x > (m << level):
-                cur[m] = unit(c * m)
-                continue
-            row = rows[m]
-            hi = min(2 * m, x - 1)
-            lo = 2 * m - hi
+        c = _level_exponent(level - 1)
+        t = ((x - 1) >> (level - 1)) + 1  # prev[j] is one iff j < t
+        top = min(m_top << (n - level), x - 1)
+        ones = min(top + 1, ((x - 1) >> level) + 1)  # cur[m] is one iff m < ones
+        cur = [scale(one, (2 * c + 2) * m) for m in range(ones)]
+        for m in range(ones, top + 1):
+            row, sums = rows[m]
+            lo = max(0, 2 * m - x + 1)
+            e = min(t, 2 * m - t + 1)  # lo <= i < e: only prev[2m-i] is not one
             acc = sum(
-                map(mul, map(mul, row[lo:m], prev[lo:m]), prev[2 * m - lo : m : -1])
+                map(scale, map(mul, row[lo:e], prev[2 * m - lo : 2 * m - e : -1]),
+                    range(c * lo, c * e, c))
+            )
+            if m < t:  # every later pair and the middle are one
+                b = max(lo, e)
+                both = row[m] + 2 * (sums[m] - sums[b])
+                cur.append(acc + acc + scale(both, 2 * c * m))
+                continue
+            k = max(lo, t)  # k <= i < m: neither factor is one
+            acc += sum(
+                map(mul, map(mul, row[k:m], prev[k:m]), prev[2 * m - k : m : -1])
             )
             pm = prev[m]
-            cur[m] = acc + acc + row[m] * pm * pm
+            cur.append(acc + acc + row[m] * pm * pm)
         prev = cur
     return prev[m_top]
 
@@ -120,7 +153,7 @@ def recursive_prob(m: int, n: int, x: int) -> DyadicProbability:
     if m < 0 or n < 1 or x < 1:
         raise ValueError("need m >= 0, n >= 1 and x >= 1")
     rows = _binom_rows(m << (n - 1))
-    numer = _level_sweep(m, n, x, rows, (1).__lshift__)
+    numer = _level_sweep(m, n, x, rows, lshift)
     return DyadicProbability(numer, _level_exponent(n) * m)
 
 
@@ -128,9 +161,8 @@ def _sweep_stride(args: tuple[int, int, int]) -> list[int]:
     # thresholds x = 1 + first, 1 + first + step, ..., one table per call
     n, first, step = args
     rows = _binom_rows(1 << (n - 1))
-    unit = (1).__lshift__
     xs = range(1 + first, (1 << n) + 2, step)
-    return [_level_sweep(1, n, x, rows, unit) for x in xs]
+    return [_level_sweep(1, n, x, rows, lshift) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -198,15 +230,13 @@ def expected_max_tree(
 
 
 def _binom_pmf_row(k: int) -> list[float]:
-    """C(k, i) / 2**k as floats, built by ratio steps out from the mode so
-    no intermediate value over- or underflows before it has to."""
+    """C(k, i) / 2**k for i <= k // 2 as floats, built by ratio steps down
+    from the mode so no intermediate value underflows before it has to."""
     mid = k // 2
-    row = [0.0] * (k + 1)
+    row = [0.0] * (mid + 1)
     row[mid] = float(Fraction(comb(k, mid), 1 << k))
     for i in range(mid, 0, -1):
         row[i - 1] = row[i] * i / (k - i + 1)
-    for i in range(mid, k):
-        row[i + 1] = row[i] * (k - i) / (i + 1)
     return row
 
 
@@ -230,8 +260,11 @@ def expected_max_tree_float(
             "pass force=True (CLI: --force) to run float mode anyway"
         )
     top = 1 << n
-    rows = [_binom_pmf_row(2 * m) for m in range(top // 2 + 1)]
-    cdf = tuple(_level_sweep(1, n, x, rows, lambda e: 1.0) for x in range(1, top + 2))
+    rows = [_with_sums(_binom_pmf_row(2 * m)) for m in range(top // 2 + 1)]
+    # pmf rows carry no powers of two: scaling by 2**e is the identity
+    cdf = tuple(
+        _level_sweep(1, n, x, rows, lambda v, e: v) for x in range(1, top + 2)
+    )
     expected = float(top) - sum(cdf[:top])
     return expected, cdf
 

@@ -60,6 +60,17 @@ def test_df_exact_matches_golden(capsys):
     assert out.out == (GOLDEN / "df_exact_n2.json").read_text()
 
 
+def test_df_exact_sweep_matches_golden(capsys):
+    out = run(capsys, ["df", "exact-tree", "--sweep", "1:8"])
+    assert out.out == (GOLDEN / "df_exact_sweep_1_8.json").read_text()
+
+
+def test_env_limit_read_when_the_cli_runs(capsys, monkeypatch):
+    monkeypatch.setenv("MFSKIT_MAX_EXACT_ROUNDS", "3")
+    run(capsys, ["df", "exact-tree", "-n", "4"], expect=EXIT_RESOURCE)
+    run(capsys, ["df", "exact-tree", "-n", "4", "--max-exact-rounds", "4"])
+
+
 def test_df_exact_smallest(capsys):
     report = json.loads(run(capsys, ["df", "exact-tree", "-n", "1"]).out)
     assert report["success_probability"]["decimal"] == 0.75

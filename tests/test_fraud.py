@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
+from operator import lshift, mul
 
 import pytest
 
@@ -182,6 +184,73 @@ def test_float_mode_tracks_exact():
         )
         for a, b in zip(cdf, exact.cdf.values):
             assert type(a) is float and abs(a - float(b)) <= 1e-12
+
+
+def level_sweep_oracle(m_top, n, x):
+    """The unsplit level sweep: every pair term pays both products.
+
+    Full even rows C(2m, i), level tables of m_top * 2**(n-l) + 1 entries,
+    and probability one as an explicit power of two.
+    """
+    rows = [[comb(2 * m, i) for i in range(2 * m + 1)]
+            for m in range((m_top << (n - 1)) + 1)]
+    unit = (1).__lshift__
+    zero = 0
+    prev = []
+    for m in range((m_top << (n - 1)) + 1):
+        if x <= m:
+            prev.append(zero)
+        elif x > 2 * m:
+            prev.append(unit(2 * m))
+        else:
+            row = rows[m]
+            prev.append(row[m] + 2 * sum(row[m + 1 : x]))
+    for level in range(2, n + 1):
+        c = fraud._level_exponent(level)
+        mmax = m_top << (n - level)
+        cur = [zero] * (mmax + 1)
+        for m in range(min(mmax, x - 1) + 1):
+            if x > (m << level):
+                cur[m] = unit(c * m)
+                continue
+            row = rows[m]
+            hi = min(2 * m, x - 1)
+            lo = 2 * m - hi
+            acc = sum(
+                map(mul, map(mul, row[lo:m], prev[lo:m]), prev[2 * m - lo : m : -1])
+            )
+            pm = prev[m]
+            cur[m] = acc + acc + row[m] * pm * pm
+        prev = cur
+    return prev[m_top]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_split_sweep_matches_oracle_on_trees(n):
+    rows = fraud._binom_rows(1 << (n - 1))
+    for x in range(1, (1 << n) + 2):
+        got = fraud._level_sweep(1, n, x, rows, lshift)
+        assert got == level_sweep_oracle(1, n, x), x
+
+
+@pytest.mark.parametrize("m_top", range(0, 7))
+def test_split_sweep_matches_oracle_on_fan_trees(m_top):
+    for n in range(1, 5):
+        rows = fraud._binom_rows(m_top << (n - 1))
+        d = fraud._level_exponent(n) * m_top
+        for x in range(1, (m_top << n) + 3):
+            want = level_sweep_oracle(m_top, n, x)
+            assert fraud._level_sweep(m_top, n, x, rows, lshift) == want, (n, x)
+            assert recursive_prob(m_top, n, x) == DyadicProbability(want, d)
+
+
+def test_split_sweep_matches_oracle_in_workers():
+    # 3 workers take the 65 thresholds of n = 6 in strides of 22, 22 and 21
+    want = [level_sweep_oracle(1, 6, x) for x in range(1, 66)]
+    for i in range(3):
+        assert fraud._sweep_stride((6, i, 3)) == want[i::3]
+    cdf = expected_max_tree(6, workers=3).cdf.values
+    assert cdf == tuple(DyadicProbability(v, fraud._level_exponent(6)) for v in want)
 
 
 def test_exact_mode_refuses_large_rounds():

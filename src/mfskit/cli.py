@@ -253,6 +253,18 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+def _key_from_args(raw: str | None) -> bytes:
+    if raw is None:
+        return b"shared-secret"
+    try:
+        key = bytes.fromhex(raw)
+    except ValueError:
+        key = b""  # rejected below with the same message
+    if not key:
+        raise MfskitError(f"--key: need at least one byte as hex, got {raw!r}")
+    return key
+
+
 def _cmd_simulate(args) -> int:
     limits = _limits_from_args(args)
     if args.graph:
@@ -270,7 +282,7 @@ def _cmd_simulate(args) -> int:
         graph=graph,
         start=args.start,
         rounds=args.rounds,
-        key=bytes.fromhex(args.key) if args.key else b"shared-secret",
+        key=_key_from_args(args.key),
         trials=args.trials,
         seed=args.seed,
     )

@@ -34,9 +34,10 @@ probability is 0 when x <= m; and M(m, n) <= m * 2**n with equality on the
 all-equal labeling, so the probability is 1 when x exceeds that.
 
 Brute force and Monte Carlo work on any graph.  They list the walks of
-n+1 vertices once, and `_occurrence_scorer` turns that list into one
-gather, one split into per-walk keys and one `Counter`, so each labeling
-is scored with a few C-level calls and no Python loop over walks.
+n+1 vertices once, and `_occurrence_scorer` keys each labeling with one
+gather over that list (`walks.walk_keys`, shared with the early-reply
+sessions of `protocol`) and counts the keys with one `Counter`, so each
+labeling is scored with a few C-level calls and no Python loop over walks.
 """
 
 from __future__ import annotations
@@ -48,13 +49,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
 from itertools import accumulate
-from operator import itemgetter, lshift, mul
-from struct import Struct
+from operator import lshift, mul
 
 from .dyadic import DyadicProbability
 from .errors import DEFAULT_LIMITS, Limits, MfskitError, ResourceLimitError
 from .graphs import LabeledDigraph
-from .walks import count_walks, walks_from
+from .walks import count_walks, walk_keys, walks_from
 
 
 def _binom_rows(mmax: int):
@@ -286,23 +286,18 @@ def _full_walks(g: LabeledDigraph, start: int, n: int, limits: Limits):
 def _occurrence_scorer(walks, nv: int):
     """Score function for one walk list: labeling bits -> maximum occurrence.
 
-    Bit v of the labeling is the label of vertex v.  Set-up gathers the
-    vertex ids of all walks into one `itemgetter` and builds a `Struct`
-    that cuts the gathered buffer into one k-byte key per walk.  Scoring a
-    labeling is then one format call, one gather and one unpack, with the
-    counting left to `Counter`.  Walks hold at least two vertices, so the
-    gather always returns a tuple.
+    Bit v of the labeling is the label of vertex v.  Scoring a labeling is
+    one format call and one `walk_keys` call, with the counting left to
+    `Counter`.
     """
     if not walks:
         return lambda bits: 0
-    gather = itemgetter(*[v for w in walks for v in w])
-    split = Struct(f"{len(walks[0])}s" * len(walks)).unpack
+    keys = walk_keys(walks)
     top = 1 << nv
 
     def score(bits: int) -> int:
         # reversed binary with a sentinel top bit: labels[v] is bit v
-        labels = format(bits | top, "b")[:0:-1].encode()
-        return max(Counter(split(bytes(gather(labels)))).values())
+        return max(Counter(keys(format(bits | top, "b")[:0:-1])).values())
 
     return score
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import GraphError, GraphFormatError
@@ -113,6 +114,21 @@ class LabeledDigraph:
             if lab == edge_label:
                 return w
         return None
+
+    @cached_property
+    def branch_layout(self):
+        """(branching, first_edge_labels, wide), worked out once per graph.
+
+        `branching` holds the ids of the vertices with two out-edges in
+        ascending order; `first_edge_labels` labels every vertex's
+        out-edges "0" then "1" in out-edge order; `wide` is the first
+        vertex with more than two out-edges, or None.
+        """
+        degrees = [len(row) for row in self.out_edges]
+        branching = tuple(v for v, d in enumerate(degrees) if d == 2)
+        first_edge_labels = tuple(("0", "1")[:d] for d in degrees)
+        wide = next((v for v, d in enumerate(degrees) if d > 2), None)
+        return branching, first_edge_labels, wide
 
     def with_labels(self, labels: Sequence[str]) -> "LabeledDigraph":
         """Same structure with a replacement vertex labeling."""

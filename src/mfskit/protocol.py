@@ -27,19 +27,36 @@ challenges, expected labels and responses.  `run_session` records its
 transcript and the rate estimator reads only its decision, so both agree
 on every trial and raise the same errors; a transcript export plays each
 trial once.
+
+The labeler hook relabels the structure it is given, `config.graph`, and
+the default labeler keeps its out-edges.  Early-reply sessions solve their
+most frequent sequence with the config's session plan: the walks of
+rounds+1 vertices from the start are counted and listed once per config,
+so a session's replies cost one gather over that list.  A hook may return
+a graph with other out-edges or an alphabet the plan does not serve; that
+session's replies then come from `most_frequent_sequence` on the graph it
+returned, with the same result and the same refusals, only slower.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 from typing import Callable, Iterator, Sequence
 
 from .errors import DEFAULT_LIMITS, Limits, ProtocolError
 from .graphs import LabeledDigraph
-from .walks import most_frequent_sequence
+from .walks import (
+    check_walk_limit,
+    count_walks,
+    most_frequent_sequence,
+    walk_keys,
+    walks_from,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -79,27 +96,24 @@ def label_graph_from_prf(
     """Session labeling: one uniform bit per vertex label, one bit per
     degree-2 vertex choosing its "0" out-edge.  Deterministic in
     (key, nonces); single out-edges are labeled "0"."""
+    branching, first_edge_labels, wide = structure.branch_layout
+    if wide is not None:
+        raise ProtocolError(
+            f"vertex {wide} has out-degree {structure.out_degree(wide)}; "
+            "protocol graphs need <= 2"
+        )
     n = structure.vertex_count
     # one draw covers the n label bits and at most n edge bits
     word = _prf_word(prf_seed(key, verifier_nonce, prover_nonce), 2 * n)
-    # the sentinel bit n keeps leading zeros; reversed, stream bit 0 comes first
-    labels = tuple(format((word & ((1 << n) - 1)) | (1 << n), "b")[:0:-1])
-    word >>= n
-    edge_labels = []
-    for v, row in enumerate(structure.out_edges):
-        deg = len(row)
-        if deg == 2:
-            edge_labels.append(("1", "0") if word & 1 else ("0", "1"))
-            word >>= 1
-        elif deg > 2:
-            raise ProtocolError(
-                f"vertex {v} has out-degree {deg}; protocol graphs need <= 2"
-            )
-        else:
-            edge_labels.append(("0",) * deg)
+    # the sentinel bit 2n keeps leading zeros; reversed, stream bit i is bits[i]
+    bits = format(word | (1 << 2 * n), "b")[:0:-1]
+    edge_labels = list(first_edge_labels)
+    for v, b in zip(branching, bits[n:]):
+        if b == "1":
+            edge_labels[v] = ("1", "0")
     return LabeledDigraph._unchecked(
         ("0", "1"),
-        labels,
+        tuple(bits[:n]),
         structure.out_edges,
         tuple(edge_labels),
         structure.names,
@@ -165,6 +179,61 @@ class ProtocolConfig:
         if len(flags) != self.rounds:
             raise ValueError("timing flags must cover every round")
         object.__setattr__(self, "timing", flags)
+
+    @cached_property
+    def session_plan(self) -> _SessionPlan:
+        """What the early-reply sessions of this config share, built at
+        the first such session."""
+        return _SessionPlan(self.graph, self.start, self.rounds + 1)
+
+
+# longer walk lists are not kept: their sessions use the prefix search
+_PLAN_MAX_WALKS = 1 << 16
+
+
+class _SessionPlan:
+    """The walks of k vertices from `start` in one structure: their count
+    and their `walk_keys` gather, worked out once.
+
+    A labeled graph fits the plan when it keeps the structure's out-edges,
+    its symbols are one ASCII character each, and auto mode would check its
+    walks (at most |alphabet|**k of them).  Its early replies are then the
+    smallest most frequent key, which leaves out the start's label, after
+    the walk limit check that `most_frequent_sequence` would make.  Any other
+    labeled graph goes to `most_frequent_sequence`.
+    """
+
+    def __init__(self, structure: LabeledDigraph, start: int, k: int):
+        self.out_edges, self.start, self.k = structure.out_edges, start, k
+        self.walks = count_walks(structure, start, k)
+        self.keys = None
+        if 0 < self.walks <= _PLAN_MAX_WALKS:
+            self.keys = walk_keys(walks_from(structure, start, k))
+        self.alphabet = None  # the last alphabet found to fit
+
+    def fits(self, labeled: LabeledDigraph) -> bool:
+        if self.walks > _PLAN_MAX_WALKS or labeled.out_edges != self.out_edges:
+            return False
+        alphabet = labeled.alphabet
+        if alphabet is not self.alphabet:
+            if self.walks > len(alphabet) ** self.k or not all(
+                len(sym) == 1 and sym.isascii() for sym in alphabet
+            ):
+                return False
+            self.alphabet = alphabet
+        return True
+
+    def early_replies(self, labeled: LabeledDigraph, limits: Limits) -> tuple:
+        if not self.fits(labeled):
+            mfs = most_frequent_sequence(labeled, self.start, self.k, limits=limits)
+            return mfs.sequence[1:]
+        check_walk_limit(self.walks, self.k, limits)
+        if self.keys is None:
+            # no full-length walk: every sequence has zero occurrences
+            return (min(labeled.alphabet),) * (self.k - 1)
+        counts = Counter(sorted(self.keys(labeled.labels)))
+        # keys were counted in ascending order: the first maximum is the smallest
+        return tuple(max(counts, key=counts.__getitem__).decode())
 
 
 @dataclass(frozen=True)
@@ -259,6 +328,8 @@ def _play(config, strategy, trial_index, limits) -> tuple:
     expected = _expected_labels(labeled, config.start, challenges)
     if strategy.kind == "honest":
         responses = expected  # the honest prover runs the same walk
+    elif strategy.kind == "early-reply" and strategy.replies is None:
+        responses = config.session_plan.early_replies(labeled, limits)
     else:
         responses = _replies_for(strategy, labeled, config.start, config.rounds, limits)
     timing = config.timing

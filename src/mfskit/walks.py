@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
+from struct import Struct
 from typing import Sequence
 
 from .errors import (
@@ -73,7 +75,7 @@ def occ_count(g: LabeledDigraph, start: int, t: str | Sequence[str]) -> int:
     return sum(counts.values())
 
 
-def _check_walk_limit(total: int, k: int, limits: Limits) -> None:
+def check_walk_limit(total: int, k: int, limits: Limits) -> None:
     if total > limits.max_walks:
         raise ResourceLimitError(
             f"{total} walks of {k} vertices exceed the limit {limits.max_walks}"
@@ -130,7 +132,7 @@ def enumerate_walk_sequences(
     by no walk are absent.  Refuses when the exact walk count exceeds the
     configured limit.
     """
-    _check_walk_limit(count_walks(g, start, k), k, limits)
+    check_walk_limit(count_walks(g, start, k), k, limits)
     return Counter(dict(_sequence_counts(g, start, k)))
 
 
@@ -140,6 +142,24 @@ def walks_from(g: LabeledDigraph, start: int, k: int) -> list[tuple[int, ...]]:
     for _ in range(k - 1):
         walks = [w + (t,) for w in walks for t in g.out_edges[w[-1]]]
     return walks
+
+
+def walk_keys(walks: list[tuple[int, ...]]):
+    """Key function for one fixed, non-empty list of walks from one start:
+    labels -> one key per walk, in walk order.
+
+    `labels` is a string or a tuple of one-character ASCII labels, vertex v
+    at index v.  A walk's key is the bytes of the labels of its vertices
+    after the first: every walk shares the start's label, so the keys
+    compare and count as the full sequences do.  Set-up gathers those
+    vertex ids into one `itemgetter` and builds a `Struct` that cuts the
+    joined labels into one key per walk, so keying a labeling is one
+    gather, one join and one unpack, with no Python loop over walks.
+    """
+    gather = itemgetter(*[v for w in walks for v in w[1:]])
+    split = Struct(f"{len(walks[0]) - 1}s" * len(walks)).unpack
+    # a single gathered label comes back bare; joining it still works
+    return lambda labels: split("".join(gather(labels)).encode())
 
 
 @dataclass(frozen=True)
@@ -181,7 +201,7 @@ def most_frequent_sequence(
         if mode == "auto":
             mode = "walk" if walks <= candidates else "seq"
     if mode == "walk":
-        _check_walk_limit(walks, k, limits)
+        check_walk_limit(walks, k, limits)
     elif candidates > limits.max_sequences:
         raise ResourceLimitError(
             f"{len(g.alphabet)}^{k} candidate sequences exceed the limit "

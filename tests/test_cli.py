@@ -258,6 +258,32 @@ def test_simulate_multi_block_transcripts_match_golden(capsys, tmp_path):
     assert path.read_bytes() == golden.read_bytes()
 
 
+def test_simulate_ring_transcripts_match_golden(capsys, tmp_path):
+    # the ring is not a tree: walks merge, so its sessions are not tree-only
+    path = tmp_path / "sessions.jsonl"
+    out = run(capsys, ["simulate", "--protocol", "poulidor", "-n", "6",
+                       "--trials", "300", "--adversary", "early-reply",
+                       "--seed", "3", "--transcripts", str(path)])
+    assert out.out == (GOLDEN / "simulate_poulidor_n6.json").read_text()
+    golden = GOLDEN / "simulate_poulidor_n6_transcripts.jsonl"
+    assert path.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("key", ["zz", "0", "abc", "", " "])
+def test_simulate_rejects_bad_key(capsys, key):
+    out = run(capsys, ["simulate", "--protocol", "tree", "-n", "2",
+                       "--trials", "5", "--key", key], expect=EXIT_INPUT)
+    assert out.err == f"error: --key: need at least one byte as hex, got {key!r}\n"
+
+
+def test_simulate_key_changes_the_sessions(capsys):
+    argv = ["simulate", "--protocol", "tree", "-n", "4", "--trials", "300",
+            "--adversary", "early-reply", "--seed", "2"]
+    default = run(capsys, argv).out
+    assert run(capsys, argv + ["--key", "7368617265642d736563726574"]).out == default
+    assert run(capsys, argv + ["--key", "00ff"]).out != default
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_simulate_trials_below_one(capsys, trials):
     out = run(capsys, ["simulate", "--protocol", "tree", "-n", "2",

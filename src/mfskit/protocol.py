@@ -28,14 +28,13 @@ transcript and the rate estimator reads only its decision, so both agree
 on every trial and raise the same errors; a transcript export plays each
 trial once.
 
-The labeler hook relabels the structure it is given, `config.graph`, and
-the default labeler keeps its out-edges.  Early-reply sessions solve their
-most frequent sequence with the config's session plan: the walks of
-rounds+1 vertices from the start are counted and listed once per config,
-so a session's replies cost one gather over that list.  A hook may return
-a graph with other out-edges or an alphabet the plan does not serve; that
-session's replies then come from `most_frequent_sequence` on the graph it
-returned, with the same result and the same refusals, only slower.
+The labeler hook relabels the structure it is given, `config.graph`.
+Early-reply sessions take their replies from the config's session plan,
+which lists that structure's walks once, so a session costs one gather
+over the list.  When a hook returns a graph with other out-edges, or an
+alphabet the plan does not serve, that session's replies come from
+`most_frequent_sequence` on the returned graph: same replies, same
+refusals, only slower.
 """
 
 from __future__ import annotations
@@ -186,6 +185,10 @@ class ProtocolConfig:
         the first such session."""
         return _SessionPlan(self.graph, self.start, self.rounds + 1)
 
+    def __getstate__(self):
+        # the plan holds closures that do not pickle; it is rebuilt on use
+        return {k: v for k, v in vars(self).items() if k != "session_plan"}
+
 
 # longer walk lists are not kept: their sessions use the prefix search
 _PLAN_MAX_WALKS = 1 << 16
@@ -193,14 +196,13 @@ _PLAN_MAX_WALKS = 1 << 16
 
 class _SessionPlan:
     """The walks of k vertices from `start` in one structure: their count
-    and their `walk_keys` gather, worked out once.
+    and their `walk_keys` gather.
 
-    A labeled graph fits the plan when it keeps the structure's out-edges,
-    its symbols are one ASCII character each, and auto mode would check its
-    walks (at most |alphabet|**k of them).  Its early replies are then the
-    smallest most frequent key, which leaves out the start's label, after
-    the walk limit check that `most_frequent_sequence` would make.  Any other
-    labeled graph goes to `most_frequent_sequence`.
+    A labeled graph fits when it keeps the structure's out-edges, its
+    symbols are one ASCII character each, and auto mode would check its
+    walks (at most |alphabet|**k of them).  Its replies are then the
+    smallest most frequent key, after the walk limit check that
+    `most_frequent_sequence` would make at the same point.
     """
 
     def __init__(self, structure: LabeledDigraph, start: int, k: int):

@@ -267,8 +267,12 @@ DEAD_END = LabeledDigraph(("0", "1"), ("0",), ((),), ((),))
          "cover 1 rounds, need 2"),
         (make_tree(2), 2, early_reply(), Limits(max_walks=2, max_sequences=2),
          ResourceLimitError, None),
+        # the labeler refuses before the walk limit is checked
+        (LabeledDigraph(("0", "1"), ("0",) * 4, ((1, 2, 3), (0,), (0,), (0,))), 2,
+         early_reply(), Limits(max_walks=1), ProtocolError,
+         "^vertex 0 has out-degree 3; protocol graphs need <= 2$"),
     ],
-    ids=["dead-end", "short-replies", "mfs-limit"],
+    ids=["dead-end", "short-replies", "mfs-limit", "wide-vertex"],
 )
 def test_estimate_raises_like_run_session_despite_failed_timing(
     graph, rounds, strategy, limits, error, match

@@ -1,6 +1,7 @@
 """The per-config session plan answers early-reply sessions exactly as the
 most-frequent-sequence solver does, and refuses at the same point."""
 
+import pickle
 import random
 
 import pytest
@@ -136,9 +137,24 @@ def test_labelings_outside_the_plan_use_the_solver(monkeypatch, labeler):
     assert len(solved) == 120
 
 
-# -- refusals keep their order: labeler, verifier walk, walk limit ------------------
+def test_walk_lists_over_the_cap_use_the_solver(monkeypatch):
+    monkeypatch.setattr(protocol, "_PLAN_MAX_WALKS", 15)
+    config = ProtocolConfig(graph=make_tree(4), start=0, rounds=4, seed=3)
+    assert config.session_plan.keys is None
+    for labeled, replies in _transcript_replies(config, 50):
+        assert not config.session_plan.fits(labeled)
+        assert replies == _oracle(labeled, 0, 4)
 
-WIDE = LabeledDigraph(("0", "1"), ("0",) * 4, ((1, 2, 3), (0,), (0,), (0,)))
+
+def test_config_pickles_after_sessions():
+    config = ProtocolConfig(graph=make_poulidor(4), start=0, rounds=4, trials=50)
+    report = estimate_success_rate(config, early_reply())
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config
+    assert estimate_success_rate(copy, early_reply()) == report
+
+
+# -- the verifier walk refuses before the walk limit ------------------
 
 # vertex 2 leads to the dead end 5 before the third round; four full walks
 DEAD_END = LabeledDigraph(
@@ -152,14 +168,6 @@ def _error(fn):
     except (ProtocolError, ResourceLimitError) as exc:
         return type(exc), str(exc)
     return None
-
-
-def test_wide_vertex_refused_before_walk_limit():
-    config = ProtocolConfig(graph=WIDE, start=0, rounds=2, trials=5)
-    limits = Limits(max_walks=1)
-    want = (ProtocolError, "vertex 0 has out-degree 3; protocol graphs need <= 2")
-    for play in (run_session, estimate_success_rate):
-        assert _error(lambda: play(config, early_reply(), limits=limits)) == want
 
 
 def test_dead_end_refused_before_walk_limit():

@@ -125,24 +125,16 @@ def _parse_labels(raw: str) -> tuple[str, ...]:
 
 
 def _cmd_generate(args) -> int:
+    labels = _parse_labels(args.labels) if args.labels else None
+    seed = args.seed if args.labels is None else None
     if args.kind == "tree":
-        g = make_tree(args.rounds, _parse_labels(args.labels) if args.labels else None,
-                      seed=args.seed if args.labels is None else None)
+        g = make_tree(args.rounds, labels, seed=seed)
     elif args.kind == "poulidor":
-        g = make_poulidor(
-            args.rounds,
-            _parse_labels(args.labels) if args.labels else None,
-            seed=args.seed if args.labels is None else None,
-        )
+        g = make_poulidor(args.rounds, labels, seed=seed)
     else:
         if args.fan is None:
             raise MfskitError("gentree needs --fan (half the root degree)")
-        g = make_generalized_tree(
-            args.fan,
-            args.rounds,
-            _parse_labels(args.labels) if args.labels else None,
-            seed=args.seed if args.labels is None else None,
-        )
+        g = make_generalized_tree(args.fan, args.rounds, labels, seed=seed)
     _write_or_print(args, graph_to_dict(g))
     return EXIT_OK
 
@@ -267,17 +259,11 @@ def _key_from_args(raw: str | None) -> bytes:
 
 def _cmd_simulate(args) -> int:
     limits = _limits_from_args(args)
+    graph = _df_graph(args)
     if args.graph:
-        graph = read_graph(args.graph)
         check = validate_binary_instance(graph)
         if not check.ok:
             raise MfskitError("; ".join(check.violations))
-    elif args.protocol == "tree":
-        graph = make_tree(args.rounds)
-    elif args.protocol == "poulidor":
-        graph = make_poulidor(args.rounds)
-    else:
-        raise MfskitError("need --graph FILE or --protocol {tree,poulidor}")
     config = ProtocolConfig(
         graph=graph,
         start=args.start,

@@ -54,7 +54,7 @@ from operator import lshift, mul
 from .dyadic import DyadicProbability
 from .errors import DEFAULT_LIMITS, Limits, MfskitError, ResourceLimitError
 from .graphs import LabeledDigraph
-from .walks import count_walks, walk_keys, walks_from
+from .walks import check_walk_limit, count_walks, walk_keys, walks_from
 
 
 def _binom_rows(mmax: int):
@@ -276,10 +276,7 @@ def _full_walks(g: LabeledDigraph, start: int, n: int, limits: Limits):
     g.check_vertex(start)
     if n < 1:
         raise ValueError("need n >= 1 rounds")
-    if count_walks(g, start, n + 1) > limits.max_walks:
-        raise ResourceLimitError(
-            f"more than {limits.max_walks} walks of {n + 1} vertices"
-        )
+    check_walk_limit(count_walks(g, start, n + 1), n + 1, limits)
     return walks_from(g, start, n + 1)
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 from .cnf import CnfFormula, brute_force_sat, satisfies
 from .errors import DEFAULT_LIMITS, Limits, ReductionError, ResourceLimitError
 from .graphs import LabeledDigraph
-from .walks import most_frequent_sequence
+from .walks import frontier_step, most_frequent_sequence
 
 
 def _tree_depth(m: int) -> int:
@@ -202,14 +202,15 @@ def check_maximal_walks(
     # walks of `length` edges from the root, counted per end vertex
     counts, length = {0: 1}, 0
     while counts:
-        nxt: dict[int, int] = {}
         for v, c in counts.items():
             if g.out_edges[v]:
-                for w in g.out_edges[v]:
-                    nxt[w] = nxt.get(w, 0) + c
                 continue
-            if full + dead + len(offenders) + c > limits.max_walks:
-                raise ResourceLimitError("maximal-walk enumeration exceeds limit")
+            seen = full + dead + len(offenders) + c
+            if seen > limits.max_walks:
+                raise ResourceLimitError(
+                    "maximal-walk enumeration exceeds limit max_walks="
+                    f"{limits.max_walks}: at least {seen} maximal walks"
+                )
             role = r.roles[v]
             if length == full_len and role in tail:
                 full += c
@@ -217,7 +218,7 @@ def check_maximal_walks(
                 dead += c
             else:
                 offenders += [f"walk of {length} edges ends at {role}"] * c
-        counts, length = nxt, length + 1
+        counts, length = frontier_step(g.out_edges, counts), length + 1
     ok = not offenders and full > 0
     if full == 0:
         offenders.append("no full-length walk reaches the backbone tail")

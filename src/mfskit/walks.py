@@ -2,9 +2,12 @@
 
 A walk of k vertices realizes the label sequence of its vertices; only
 full-length walks count, so dead ends shorter than the query length
-contribute nothing.  Both the walk-sequence multiset and the MFS solver
-read one search, which merges walks by label prefix and end vertex
-instead of enumerating them one by one.
+contribute nothing.  One step, `frontier_step`, carries walk counts per
+end vertex one edge further, optionally split by the label reached.  Walk
+and occurrence counts, the prefix search behind the walk-sequence
+multiset and the MFS solver, the greedy adversary and the reduction's
+maximal-walk check all advance through it instead of enumerating walks
+one by one.
 """
 
 from __future__ import annotations
@@ -38,6 +41,26 @@ def as_sequence(g: LabeledDigraph, t: str | Sequence[str]) -> tuple[str, ...]:
     return seq
 
 
+def frontier_step(out_edges, counts: dict, labels=None) -> dict:
+    """Walk counts per end vertex one edge further; with `labels`, split
+    by the label reached as {label: {vertex: count}}."""
+    if labels is None:
+        nxt: dict[int, int] = {}
+        for v, c in counts.items():
+            for w in out_edges[v]:
+                nxt[w] = nxt.get(w, 0) + c
+        return nxt
+    split: dict[str, dict[int, int]] = {}
+    for v, c in counts.items():
+        for w in out_edges[v]:
+            part = split.get(labels[w])
+            if part is None:
+                split[labels[w]] = {w: c}
+            else:
+                part[w] = part.get(w, 0) + c
+    return split
+
+
 def count_walks(g: LabeledDigraph, start: int, k: int) -> int:
     """Number of walks of k vertices from `start`, ignoring labels."""
     g.check_vertex(start)
@@ -45,11 +68,7 @@ def count_walks(g: LabeledDigraph, start: int, k: int) -> int:
         raise GraphError("walk length must be >= 1")
     counts = {start: 1}
     for _ in range(k - 1):
-        nxt: dict[int, int] = {}
-        for v, c in counts.items():
-            for w in g.out_edges[v]:
-                nxt[w] = nxt.get(w, 0) + c
-        counts = nxt
+        counts = frontier_step(g.out_edges, counts)
     return sum(counts.values())
 
 
@@ -64,13 +83,8 @@ def occ_count(g: LabeledDigraph, start: int, t: str | Sequence[str]) -> int:
         return 0
     counts = {start: 1}
     for sym in seq[1:]:
-        nxt: dict[int, int] = {}
-        for v, c in counts.items():
-            for w in g.out_edges[v]:
-                if g.labels[w] == sym:
-                    nxt[w] = nxt.get(w, 0) + c
-        counts = nxt
-        if not counts:
+        counts = frontier_step(g.out_edges, counts, g.labels).get(sym)
+        if counts is None:
             return 0
     return sum(counts.values())
 
@@ -82,14 +96,33 @@ def check_walk_limit(total: int, k: int, limits: Limits) -> None:
         )
 
 
+def check_search_limit(
+    mode: str, walks: int | None, symbols: int, k: int, limits: Limits
+) -> None:
+    """The refusal `most_frequent_sequence` makes before its search:
+    "walk" checks the `walks` of k vertices against max_walks, "seq" checks
+    the symbols**k candidate sequences against max_sequences, and "auto"
+    checks whichever of the two numbers is smaller (the walks on a tie)."""
+    candidates = symbols ** k
+    if mode == "auto":
+        mode = "walk" if walks <= candidates else "seq"
+    if mode == "walk":
+        check_walk_limit(walks, k, limits)
+    elif candidates > limits.max_sequences:
+        raise ResourceLimitError(
+            f"{symbols}^{k} candidate sequences exceed the limit "
+            f"{limits.max_sequences}"
+        )
+
+
 def _sequence_counts(g: LabeledDigraph, start: int, k: int):
     """Yield (sequence, occurrences) for every length-k sequence some walk
     realizes, in ascending lexicographic order.
 
     Depth-first over label prefixes, carrying walk counts per end vertex:
     walks sharing a prefix and an end vertex are counted together, each
-    frontier is split by the next vertex's label in one pass over its
-    out-edges, and prefixes realized by no walk are never visited.
+    frontier is split by the next vertex's label in one `frontier_step`,
+    and prefixes realized by no walk are never visited.
     """
     labels, out_edges = g.labels, g.out_edges
     if k == 1:
@@ -107,14 +140,7 @@ def _sequence_counts(g: LabeledDigraph, start: int, k: int):
             for sym in sorted(occ):
                 yield prefix + (sym,), occ[sym]
             continue
-        split: dict[str, dict[int, int]] = {}
-        for v, c in counts.items():
-            for w in out_edges[v]:
-                nxt = split.get(labels[w])
-                if nxt is None:
-                    split[labels[w]] = {w: c}
-                else:
-                    nxt[w] = nxt.get(w, 0) + c
+        split = frontier_step(out_edges, counts, labels)
         for sym in sorted(split, reverse=True):
             stack.append((prefix + (sym,), split[sym]))
 
@@ -185,28 +211,16 @@ def most_frequent_sequence(
 
     Ties break to the lexicographically smallest maximizer and the number
     of maximizers is reported.  There is one search, over realized label
-    prefixes; `mode` only picks the limit checked before it: "walk" checks
-    the exact walk count against max_walks, "seq" checks the |alphabet|^k
-    candidate sequences against max_sequences, and "auto" checks whichever
-    of the two numbers is smaller (the walks on a tie).
+    prefixes; `mode` only picks the limit `check_search_limit` checks
+    before it.
     """
     g.check_vertex(start)
     if k < 1:
         raise GraphError("sequence length must be >= 1")
     if mode not in ("auto", "walk", "seq"):
         raise ValueError(f"unknown mode {mode!r}")
-    candidates = len(g.alphabet) ** k
-    if mode != "seq":
-        walks = count_walks(g, start, k)
-        if mode == "auto":
-            mode = "walk" if walks <= candidates else "seq"
-    if mode == "walk":
-        check_walk_limit(walks, k, limits)
-    elif candidates > limits.max_sequences:
-        raise ResourceLimitError(
-            f"{len(g.alphabet)}^{k} candidate sequences exceed the limit "
-            f"{limits.max_sequences}"
-        )
+    walks = count_walks(g, start, k) if mode != "seq" else None
+    check_search_limit(mode, walks, len(g.alphabet), k, limits)
     best_seq, best_count, tie_count = None, 0, 0
     # sequences arrive in ascending order: the first maximizer is the smallest
     for seq, occ in _sequence_counts(g, start, k):
@@ -216,7 +230,7 @@ def most_frequent_sequence(
             tie_count += 1
     if best_seq is None:
         # no full-length walk exists: every sequence has zero occurrences
-        return MfsResult((min(g.alphabet),) * k, 0, candidates)
+        return MfsResult((min(g.alphabet),) * k, 0, len(g.alphabet) ** k)
     return MfsResult(best_seq, best_count, tie_count)
 
 

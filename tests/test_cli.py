@@ -169,6 +169,13 @@ def test_mfs_resource_refusal(capsys, tmp_path):
                  "--max-walks", "4"], expect=EXIT_RESOURCE)
 
 
+@pytest.mark.parametrize("method", ["brute", "mc"])
+def test_df_walk_refusal_names_the_count(capsys, method):
+    out = run(capsys, ["df", method, "--protocol", "tree", "-n", "3",
+                       "--max-walks", "4"], expect=EXIT_RESOURCE)
+    assert out.err == "error: 8 walks of 4 vertices exceed the limit 4\n"
+
+
 def test_limit_flags_must_be_positive(capsys, tmp_path):
     graph = tmp_path / "g.json"
     run(capsys, ["generate", "tree", "-n", "3", "--out", str(graph)])
@@ -266,6 +273,17 @@ def test_simulate_ring_transcripts_match_golden(capsys, tmp_path):
                        "--seed", "3", "--transcripts", str(path)])
     assert out.out == (GOLDEN / "simulate_poulidor_n6.json").read_text()
     golden = GOLDEN / "simulate_poulidor_n6_transcripts.jsonl"
+    assert path.read_bytes() == golden.read_bytes()
+
+
+def test_simulate_ring_greedy_matches_golden(capsys, tmp_path):
+    # pins the greedy replies, step by step, on a graph whose walks merge
+    path = tmp_path / "sessions.jsonl"
+    out = run(capsys, ["simulate", "--protocol", "poulidor", "-n", "6",
+                       "--trials", "300", "--adversary", "greedy-early-reply",
+                       "--seed", "3", "--transcripts", str(path)])
+    assert out.out == (GOLDEN / "simulate_poulidor_n6_greedy.json").read_text()
+    golden = GOLDEN / "simulate_poulidor_n6_greedy_transcripts.jsonl"
     assert path.read_bytes() == golden.read_bytes()
 
 

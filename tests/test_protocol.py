@@ -1,8 +1,11 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
+
+from conftest import random_binary_graph
 
 from mfskit import (
     LabeledDigraph,
@@ -22,7 +25,8 @@ from mfskit import (
     run_session,
 )
 from mfskit.errors import ResourceLimitError
-from mfskit.protocol import AdversaryStrategy, _session_accepts
+from mfskit.protocol import AdversaryStrategy, _replies_for, _session_accepts
+from mfskit.walks import walks_from
 
 
 # -- session labeling ------------------------------------------------------------
@@ -336,6 +340,48 @@ def test_greedy_strategy_runs_and_is_not_better_than_exact_solver():
     optimal = estimate_success_rate(config, early_reply())
     noise = 4 * (greedy.std_error + optimal.std_error)
     assert greedy.rate <= optimal.rate + noise
+
+
+def _greedy_oracle(labeled, start, rounds):
+    """Greedy replies from whole walks: each round takes the symbol most
+    walks reach after the replies so far, ties and dead ends to the
+    smallest symbol."""
+    replies = ()
+    for level in range(1, rounds + 1):
+        mass = Counter()
+        for walk in walks_from(labeled, start, level + 1):
+            seq = tuple(labeled.labels[v] for v in walk[1:])
+            if seq[:-1] == replies:
+                mass[seq[-1]] += 1
+        replies += (min(labeled.alphabet, key=lambda s: (-mass[s], s)),)
+    return replies
+
+
+def _ternary(structure, key, verifier_nonce, prover_nonce):
+    labeled = label_graph_from_prf(structure, key, verifier_nonce, prover_nonce)
+    rng = random.Random(verifier_nonce + prover_nonce)
+    labels = [rng.choice("cab") for _ in labeled.labels]
+    return LabeledDigraph(("c", "a", "b"), labels, labeled.out_edges,
+                          labeled.edge_labels)
+
+
+def test_greedy_replies_match_per_level_oracle():
+    rng = random.Random(17)
+    for alphabet in [("0", "1"), ("b", "a", "c")]:
+        for _ in range(200):
+            g = random_binary_graph(rng, max_vertices=8, alphabet=alphabet)
+            start, rounds = rng.randrange(g.vertex_count), rng.randint(1, 5)
+            replies = _replies_for(greedy_early_reply(), g, start, rounds, Limits())
+            assert replies == _greedy_oracle(g, start, rounds)
+    config = ProtocolConfig(graph=make_poulidor(5), start=0, rounds=5, trials=100,
+                            seed=4, labeler=_ternary)
+    for t in range(config.trials):
+        transcript = run_session(config, greedy_early_reply(), trial_index=t)
+        labeled = _ternary(config.graph, config.key,
+                           bytes.fromhex(transcript.verifier_nonce),
+                           bytes.fromhex(transcript.prover_nonce))
+        replies = tuple(r.response for r in transcript.rounds)
+        assert replies == _greedy_oracle(labeled, 0, 5)
 
 
 def test_strategy_kind_validated():

@@ -206,6 +206,17 @@ def test_maximal_walk_counts_match_per_walk_oracle():
                 check_maximal_walks(case, limits=Limits(max_walks=total - 1))
 
 
+def test_maximal_walk_refusal_names_the_limit(example_formula):
+    r = reduce_sat_to_mfs(example_formula)
+    # one dead end of 4 edges, then 19 full walks, 8 of them to one end
+    assert sum(maximal_walk_ends(r).values()) == 20
+    for limit, seen in [(19, 20), (3, 9), (1, 9)]:
+        with pytest.raises(ResourceLimitError) as info:
+            check_maximal_walks(r, limits=Limits(max_walks=limit))
+        assert str(info.value) == ("maximal-walk enumeration exceeds limit "
+                                   f"max_walks={limit}: at least {seen} maximal walks")
+
+
 def test_determinism(example_formula):
     a = reduce_sat_to_mfs(example_formula)
     b = reduce_sat_to_mfs(example_formula)

@@ -229,7 +229,7 @@ def _cmd_reduce(args) -> int:
     }
     _write_or_print(args, data)
     if args.verify:
-        verdict = verify_reduction(formula, limits=limits)
+        verdict = verify_reduction(formula, limits=limits, reduction=r)
         walks = check_maximal_walks(r, limits=limits)
         summary = {
             "equivalence_ok": verdict.ok,

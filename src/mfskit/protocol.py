@@ -50,7 +50,7 @@ from functools import cached_property
 from math import sqrt
 from typing import Callable, Iterator, Sequence
 
-from .errors import DEFAULT_LIMITS, Limits, ProtocolError
+from .errors import DEFAULT_LIMITS, GraphError, Limits, ProtocolError
 from .graphs import LabeledDigraph
 from .walks import (
     check_search_limit,
@@ -297,17 +297,21 @@ def _replies_for(
 
 def _expected_labels(labeled: LabeledDigraph, start: int, challenges) -> tuple:
     """The verifier's walk: the label of each vertex the challenges reach."""
+    out_edges, edge_labels = labeled.out_edges, labeled.edge_labels
+    labels = labeled.labels
+    if edge_labels is None:
+        raise GraphError("graph has no edge labels")
     expected = []
     v = start
     for c in challenges:
-        nxt = labeled.successor(v, c)
-        if nxt is None:
+        try:
+            v = out_edges[v][edge_labels[v].index(c)]
+        except ValueError:
             raise ProtocolError(
                 f"no out-edge labeled {c!r} at vertex {v}; the configured "
                 "graph dead-ends before the last round"
-            )
-        v = nxt
-        expected.append(labeled.labels[v])
+            ) from None
+        expected.append(labels[v])
     return tuple(expected)
 
 

@@ -257,15 +257,20 @@ class ReductionVerdict:
 
 
 def verify_reduction(
-    f: CnfFormula, *, limits: Limits = DEFAULT_LIMITS
+    f: CnfFormula,
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+    reduction: ReductionOutput | None = None,
 ) -> ReductionVerdict:
     """Cross-check the reduction against exhaustive satisfiability.
 
     Confirms that the most frequent target-length sequence occurs exactly
     clause_count times iff the formula is satisfiable, never more, and
-    that a maximizer's suffix decodes to a satisfying assignment.
+    that a maximizer's suffix decodes to a satisfying assignment.  A caller
+    that already holds `reduce_sat_to_mfs(f)` passes it as `reduction`, so
+    the gadget is not built twice.
     """
-    r = reduce_sat_to_mfs(f)
+    r = reduce_sat_to_mfs(f) if reduction is None else reduction
     mfs = most_frequent_sequence(
         r.graph, 0, r.params.target_length, limits=limits
     )

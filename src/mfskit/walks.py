@@ -8,6 +8,12 @@ and occurrence counts, the prefix search behind the walk-sequence
 multiset and the MFS solver, the greedy adversary and the reduction's
 maximal-walk check all advance through it instead of enumerating walks
 one by one.
+
+The prefix search stops L symbols short of full length and reads the last
+L symbols from packed integers: one per vertex, with one fixed-width slot
+per suffix of L symbols, in lexicographic order of the suffixes.  A
+stopping prefix then costs one big-integer sum and one unpack, and the
+MFS solver takes the largest slot, its first index and its ties in C.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, product
 from operator import itemgetter
 from struct import Struct
 from typing import Sequence
@@ -115,30 +122,73 @@ def check_search_limit(
         )
 
 
-def _sequence_counts(g: LabeledDigraph, start: int, k: int):
-    """Yield (sequence, occurrences) for every length-k sequence some walk
-    realizes, in ascending lexicographic order.
+# the most slots one packed count holds: the prefix search stops L symbols
+# short of full length, for the largest L with |alphabet|**L <= _SLOT_CAP
+_SLOT_CAP = 256
 
+
+def _sequence_counts(g: LabeledDigraph, start: int, k: int, walks: int | None):
+    """Yield (prefix, slots) for every realized prefix of length k - L, in
+    ascending lexicographic order; slot s holds the occurrences of the
+    prefix followed by the s-th suffix of `product(sorted(alphabet),
+    repeat=L)`, so slot order is lexicographic order too.
+
+    L is the largest tail with |alphabet|**L <= _SLOT_CAP (at most k - 1).
     Depth-first over label prefixes, carrying walk counts per end vertex:
     walks sharing a prefix and an end vertex are counted together, each
     frontier is split by the next vertex's label in one `frontier_step`,
-    and prefixes realized by no walk are never visited.
+    and prefixes realized by no walk are never visited.  The last L symbols
+    come from one packed integer per vertex, built backwards beforehand:
+    slot s of V(v) counts the walks of L more vertices from v that spell
+    suffix s, first suffix symbol most significant.  A stopping prefix then
+    costs one big-integer sum, sum of c_v * V(v), and one unpack.
+
+    `walks`, the number of walks of k vertices, bounds every slot and so
+    sets the slot width; None bounds it by the widest vertex to the power
+    k - 1.
     """
     labels, out_edges = g.labels, g.out_edges
-    if k == 1:
-        yield (labels[start],), 1
-        return
+    symbols = sorted(g.alphabet)
+    size = len(symbols)
+    tail = 0
+    while tail < k - 1 and size ** (tail + 1) <= _SLOT_CAP:
+        tail += 1
+    # the vertices some walk from `start` ends at, at depths 0..k-2
+    reach = [{start}]
+    for _ in range(k - 2):
+        reach.append({w for v in reach[-1] for w in out_edges[v]})
+    if walks is None:
+        walks = max(map(len, out_edges)) ** (k - 1)
+    width = 1  # bytes per slot
+    while walks >> 8 * width:
+        width *= 2
+    slots = size ** tail
+    if width <= 8:
+        unpack = Struct(f"<{slots}{'BHIQ'[width.bit_length() - 1]}").unpack
+    else:
+        def unpack(raw):
+            return [int.from_bytes(raw[i:i + width], "little")
+                    for i in range(0, len(raw), width)]
+
+    # packed[v] holds V(v) for a tail of r symbols, already shifted to the
+    # block of slots of its own label in the level above (the top level is
+    # not shifted); level 0, the empty tail, is one list over all vertices
+    bits = 8 * width
+    unit = {sym: 1 << bits * i if tail else 1 for i, sym in enumerate(symbols)}
+    packed = list(map(unit.__getitem__, labels))
+    for r in range(1, tail + 1):
+        block = bits * size ** r if r < tail else 0
+        shift = {sym: block * i for i, sym in enumerate(symbols)}
+        get = packed.__getitem__
+        packed = {v: sum(map(get, out_edges[v])) << shift[labels[v]]
+                  for v in reach[k - 1 - r]}
+    stop = k - tail
     stack = [((labels[start],), {start: 1})]
     while stack:
         prefix, counts = stack.pop()
-        if len(prefix) == k - 1:
-            # the last step needs only the total per symbol
-            occ: dict[str, int] = {}
-            for v, c in counts.items():
-                for w in out_edges[v]:
-                    occ[labels[w]] = occ.get(labels[w], 0) + c
-            for sym in sorted(occ):
-                yield prefix + (sym,), occ[sym]
+        if len(prefix) == stop:
+            total = sum([c * packed[v] for v, c in counts.items()])
+            yield prefix, unpack(total.to_bytes(slots * width, "little"))
             continue
         split = frontier_step(out_edges, counts, labels)
         for sym in sorted(split, reverse=True):
@@ -158,8 +208,16 @@ def enumerate_walk_sequences(
     by no walk are absent.  Refuses when the exact walk count exceeds the
     configured limit.
     """
-    check_walk_limit(count_walks(g, start, k), k, limits)
-    return Counter(dict(_sequence_counts(g, start, k)))
+    walks = count_walks(g, start, k)
+    check_walk_limit(walks, k, limits)
+    symbols = sorted(g.alphabet)
+    found = Counter()
+    for prefix, slots in _sequence_counts(g, start, k, walks):
+        suffixes = product(symbols, repeat=k - len(prefix))
+        for suffix, occ in zip(suffixes, slots):
+            if occ:
+                found[prefix + suffix] = occ
+    return found
 
 
 def walks_from(g: LabeledDigraph, start: int, k: int) -> list[tuple[int, ...]]:
@@ -221,17 +279,22 @@ def most_frequent_sequence(
         raise ValueError(f"unknown mode {mode!r}")
     walks = count_walks(g, start, k) if mode != "seq" else None
     check_search_limit(mode, walks, len(g.alphabet), k, limits)
-    best_seq, best_count, tie_count = None, 0, 0
-    # sequences arrive in ascending order: the first maximizer is the smallest
-    for seq, occ in _sequence_counts(g, start, k):
-        if occ > best_count:
-            best_seq, best_count, tie_count = seq, occ, 1
-        elif occ == best_count:
-            tie_count += 1
-    if best_seq is None:
+    best, best_count, tie_count = None, 0, 0
+    # prefixes and slots arrive in ascending order: the first maximizer is
+    # the smallest
+    for prefix, slots in _sequence_counts(g, start, k, walks):
+        top = max(slots)
+        if top > best_count:
+            best, best_count = (prefix, slots.index(top)), top
+            tie_count = slots.count(top)
+        elif top and top == best_count:
+            tie_count += slots.count(top)
+    if best is None:
         # no full-length walk exists: every sequence has zero occurrences
         return MfsResult((min(g.alphabet),) * k, 0, len(g.alphabet) ** k)
-    return MfsResult(best_seq, best_count, tie_count)
+    prefix, slot = best
+    suffixes = product(sorted(g.alphabet), repeat=k - len(prefix))
+    return MfsResult(prefix + next(islice(suffixes, slot, None)), best_count, tie_count)
 
 
 # -- complementary sibling labeling -------------------------------------------

@@ -228,7 +228,7 @@ def test_reduce_rejects_tautology(capsys, tmp_path):
 def test_reduce_verification_failure_exit_code(capsys, tmp_path, monkeypatch):
     import mfskit.cli as cli
 
-    def fake_verify(formula, limits):
+    def fake_verify(formula, limits, reduction):
         return ReductionVerdict(
             ok=False, clause_count=3, mfs_count=1, mfs_sequence=(),
             satisfiable=True, assignment=None, detail="forced failure",
@@ -238,6 +238,32 @@ def test_reduce_verification_failure_exit_code(capsys, tmp_path, monkeypatch):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(EXAMPLE_CNF)
     run(capsys, ["reduce", str(cnf), "--verify"], expect=EXIT_VERIFY)
+
+
+def test_reduce_verify_builds_the_gadget_once(capsys, tmp_path, monkeypatch):
+    import mfskit.cli as cli
+    import mfskit.reduction as reduction
+
+    built, build = [], reduction.reduce_sat_to_mfs
+
+    def counting(formula):
+        built.append(formula)
+        return build(formula)
+
+    monkeypatch.setattr(cli, "reduce_sat_to_mfs", counting)
+    monkeypatch.setattr(reduction, "reduce_sat_to_mfs", counting)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(EXAMPLE_CNF)
+    run(capsys, ["reduce", str(cnf), "--out", str(tmp_path / "g.json"), "--verify"])
+    assert len(built) == 1
+
+
+def test_reduce_matches_golden(capsys, tmp_path):
+    out = tmp_path / "g.json"
+    err = run(capsys, ["reduce", str(GOLDEN / "reduce_cnf_5v7c.cnf"),
+                       "--out", str(out), "--verify"]).err
+    assert out.read_bytes() == (GOLDEN / "reduce_cnf_5v7c.json").read_bytes()
+    assert err == (GOLDEN / "reduce_cnf_5v7c_verify.json").read_text()
 
 
 def test_simulate_honest(capsys):

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from mfskit import (
+    CnfFormula,
     GraphError,
     LabeledDigraph,
     LabelingConflictError,
@@ -13,9 +14,11 @@ from mfskit import (
     complementary_sibling_labeling,
     count_walks,
     enumerate_walk_sequences,
+    make_poulidor,
     make_tree,
     most_frequent_sequence,
     occ_count,
+    reduce_sat_to_mfs,
 )
 from mfskit import walks
 from conftest import random_binary_graph
@@ -200,6 +203,100 @@ def test_mfs_sequence_limit():
 def test_mfs_rejects_bad_length(example_tree):
     with pytest.raises(GraphError):
         most_frequent_sequence(example_tree, 0, 0)
+
+
+# -- packed-slot tail against the plain prefix search ---------------------------
+
+
+def _oracle_sequence_counts(g, start, k):
+    """The prefix search without the packed tail: (sequence, occurrences)
+    for every realized sequence, in ascending lexicographic order."""
+    labels, out_edges = g.labels, g.out_edges
+    if k == 1:
+        yield (labels[start],), 1
+        return
+    stack = [((labels[start],), {start: 1})]
+    while stack:
+        prefix, counts = stack.pop()
+        if len(prefix) == k - 1:
+            occ = {}
+            for v, c in counts.items():
+                for w in out_edges[v]:
+                    occ[labels[w]] = occ.get(labels[w], 0) + c
+            for sym in sorted(occ):
+                yield prefix + (sym,), occ[sym]
+            continue
+        split = walks.frontier_step(out_edges, counts, labels)
+        for sym in sorted(split, reverse=True):
+            stack.append((prefix + (sym,), split[sym]))
+
+
+def _oracle_cases():
+    """(graph, start, k) over every input family, k from 1 to past the tail."""
+    rng = random.Random(4242)
+    for _ in range(60):
+        g = random_binary_graph(rng)
+        yield g, rng.randrange(g.vertex_count), rng.randint(1, 13)
+    for _ in range(40):
+        # "2" is declared but labels no vertex
+        g = random_binary_graph(rng)
+        g = LabeledDigraph(("2", "1", "0"), g.labels, g.out_edges)
+        yield g, rng.randrange(g.vertex_count), rng.randint(1, 9)
+    for _ in range(30):
+        g = random_binary_graph(rng, alphabet=("1", "10", "0"))
+        yield g, rng.randrange(g.vertex_count), rng.randint(1, 9)
+    for _ in range(20):
+        g = random_binary_graph(rng, alphabet=("a",))
+        yield g, rng.randrange(g.vertex_count), rng.randint(1, 12)
+    for n in range(1, 8):
+        g = make_tree(n, seed=n)
+        for k in sorted({1, n, n + 1}):
+            yield g, 0, k
+    for n in (2, 3, 5, 8):
+        g = make_poulidor(n, seed=n)
+        for k in (1, 2, 9, 10, 12, 18):
+            yield g, 0, k
+    for _ in range(8):
+        n = rng.randint(4, 8)
+        clauses = []
+        for _ in range(rng.randint(n, 4 * n)):
+            variables = rng.sample(range(1, n + 1), 3)
+            clauses.append(tuple(v if rng.getrandbits(1) else -v for v in variables))
+        r = reduce_sat_to_mfs(CnfFormula(n, tuple(clauses)))
+        yield r.graph, 0, r.params.target_length
+    # one symbol, out-degree 2: 2**39 and 2**69 walks
+    ring = LabeledDigraph(("a",), ("a", "a"), ((0, 1), (1, 0)))
+    yield ring, 0, 40
+    yield ring, 1, 70
+
+
+def test_packed_tail_matches_plain_prefix_search():
+    seen = set()
+    limits = Limits(max_walks=1 << 80)
+    for g, start, k in _oracle_cases():
+        want = list(_oracle_sequence_counts(g, start, k))
+        assert [seq for seq, _ in want] == sorted(seq for seq, _ in want)
+        got = enumerate_walk_sequences(g, start, k, limits=limits)
+        assert list(got.items()) == want
+        if want:
+            top = max(occ for _, occ in want)
+            maximizers = [seq for seq, occ in want if occ == top]
+            expected = (maximizers[0], top, len(maximizers))
+        else:
+            seen.add("no full walk")
+            expected = ((min(g.alphabet),) * k, 0, len(g.alphabet) ** k)
+        for mode in ("auto", "walk", "seq"):
+            result = most_frequent_sequence(g, start, k, mode=mode, limits=limits)
+            assert (result.sequence, result.count, result.tie_count) == expected
+        seen.add("tie" if expected[2] > 1 else "unique")
+        if len(g.alphabet) == 1:
+            seen.add("one symbol")
+        if expected[1] > 1 << 64:
+            seen.add("count above 2**64")
+        if len(g.alphabet) ** (k - 1) > walks._SLOT_CAP:
+            seen.add("past the slot cap")
+    assert seen == {"no full walk", "tie", "unique", "one symbol",
+                    "count above 2**64", "past the slot cap"}
 
 
 # -- complementary sibling labeling ----------------------------------------------

@@ -38,6 +38,7 @@ from .graphs import (
     BinaryCheck,
     LabeledDigraph,
     graph_from_dict,
+    graph_json_text,
     graph_to_dict,
     read_graph,
     validate_binary_instance,

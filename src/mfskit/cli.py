@@ -28,7 +28,12 @@ from .fraud import (
     monte_carlo_expected_max,
 )
 from .generators import make_generalized_tree, make_poulidor, make_tree
-from .graphs import graph_to_dict, read_graph, validate_binary_instance
+from .graphs import (
+    graph_json_text,
+    graph_to_dict,  # noqa: F401  bench/run.py traces it under this name
+    read_graph,
+    validate_binary_instance,
+)
 from .cnf import parse_dimacs
 from .protocol import (
     AdversaryStrategy,
@@ -106,8 +111,7 @@ def _as_text(payload, indent: int = 0) -> str:
     return f"{pad}{payload}"
 
 
-def _write_or_print(args, data: dict) -> None:
-    text = json.dumps(data, indent=2)
+def _write_or_print(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -135,7 +139,7 @@ def _cmd_generate(args) -> int:
         if args.fan is None:
             raise MfskitError("gentree needs --fan (half the root degree)")
         g = make_generalized_tree(args.fan, args.rounds, labels, seed=seed)
-    _write_or_print(args, graph_to_dict(g))
+    _write_or_print(args, graph_json_text(g))
     return EXIT_OK
 
 
@@ -219,15 +223,14 @@ def _cmd_reduce(args) -> int:
     with open(args.cnf, "r", encoding="utf-8") as fh:
         formula = parse_dimacs(fh.read())
     r = reduce_sat_to_mfs(formula)
-    data = graph_to_dict(r.graph)
-    data["roles"] = {str(v): role for v, role in enumerate(r.roles)}
-    data["params"] = {
+    roles = {str(v): role for v, role in enumerate(r.roles)}
+    params = {
         "variables": r.params.variable_count,
         "clauses": r.params.clause_count,
         "tree_depth": r.params.tree_depth,
         "target_length": r.params.target_length,
     }
-    _write_or_print(args, data)
+    _write_or_print(args, graph_json_text(r.graph, {"roles": roles, "params": params}))
     if args.verify:
         verdict = verify_reduction(formula, limits=limits, reduction=r)
         walks = check_maximal_walks(r, limits=limits)

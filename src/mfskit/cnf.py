@@ -136,6 +136,26 @@ def satisfies(f: CnfFormula, assignment: Sequence[bool]) -> bool:
     return True
 
 
+# Variables covered by one bitset of assignments in brute_force_sat; a
+# 2^16-bit bitset takes 8 KiB.
+_BLOCK_VARIABLES = 16
+# Byte patterns of variables 1..3 (bits 0..2 of the assignment index).
+_LOW_BIT_BYTES = (b"\xaa", b"\xcc", b"\xf0")
+
+
+def _variable_mask(j: int, block: int) -> int:
+    """Bitset over the 2^block assignments of the low variables: bit a is
+    set iff assignment a sets variable j + 1 (bit j of a)."""
+    if j < 3:
+        unit = _LOW_BIT_BYTES[j]
+    else:
+        half = 1 << (j - 3)
+        unit = bytes(half) + b"\xff" * half
+    size = max(1, (1 << block) >> 3)
+    mask = int.from_bytes(unit * (size // len(unit)), "little")
+    return mask & ((1 << (1 << block)) - 1)
+
+
 def brute_force_sat(
     f: CnfFormula, *, max_variables: int = 24
 ) -> tuple[bool, ...] | None:
@@ -143,25 +163,53 @@ def brute_force_sat(
 
     The witness is the smallest satisfying assignment in binary counting
     order (variable 1 is the least significant bit).
+
+    The search tests many assignments at once.  The low b = min(n, 16)
+    variables span a block of 2^b assignments; a clause's bitset over the
+    block is the OR of its literals' bitsets, and the formula's is the AND
+    of its clauses', which stops at the first clause that leaves it empty.
+    Blocks run over the upper n - b variables in ascending order, where
+    each upper literal is constant, so the lowest set bit of the first
+    nonempty block is the smallest witness.  Memory stays bounded by the
+    block, not by 2^n: one bitset of at most 8 KiB per clause and per low
+    variable (about 1 MiB for 140 clauses at n = 24).
     """
     n = f.variable_count
     if n > max_variables:
         raise ValueError(
             f"{n} variables exceed the exhaustive-search cap {max_variables}"
         )
-    clause_masks = []
+    block = min(n, _BLOCK_VARIABLES)
+    full = (1 << (1 << block)) - 1
+    positive = [_variable_mask(j, block) for j in range(block)]
+    negative = [mask ^ full for mask in positive]
+    base = full  # the clauses over low variables only
+    split = []  # (low bitset, upper positive bits, upper negative bits)
     for clause in f.clauses:
-        pos = 0
-        neg = 0
+        low = upper_pos = upper_neg = 0
         for lit in clause:
-            if lit > 0:
-                pos |= 1 << (lit - 1)
+            j = abs(lit) - 1
+            if j < block:
+                low |= positive[j] if lit > 0 else negative[j]
+            elif lit > 0:
+                upper_pos |= 1 << (j - block)
             else:
-                neg |= 1 << (-lit - 1)
-        clause_masks.append((pos, neg))
-    full = (1 << n) - 1
-    for bits in range(1 << n):
-        inv = bits ^ full
-        if all(bits & pos or inv & neg for pos, neg in clause_masks):
+                upper_neg |= 1 << (j - block)
+        if upper_pos or upper_neg:
+            split.append((low, upper_pos, upper_neg))
+        else:
+            base &= low
+            if not base:
+                return None
+    for upper in range(1 << (n - block)):
+        inv = ~upper
+        sat = base
+        for low, upper_pos, upper_neg in split:
+            if not (upper & upper_pos or inv & upper_neg):
+                sat &= low
+                if not sat:
+                    break
+        if sat:
+            bits = ((sat & -sat).bit_length() - 1) | (upper << block)
             return tuple(bool((bits >> j) & 1) for j in range(n))
     return None

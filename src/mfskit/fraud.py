@@ -408,11 +408,10 @@ def monte_carlo_expected_max(
         total += m
         total_sq += m * m
     mean = Fraction(total, samples)
+    std_error = None  # one sample has no spread to estimate; JSON null
     if samples > 1:
         var = (Fraction(total_sq, samples) - mean * mean) * samples / (samples - 1)
         std_error = sqrt(float(var) / samples) / (1 << n)
-    else:
-        std_error = float("nan")
     return distance_fraud_probability(
         mean, n, "monte-carlo", samples=samples, seed=seed, std_error=std_error
     )

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .errors import GraphError, GraphFormatError
@@ -177,6 +179,98 @@ def graph_to_dict(g: LabeledDigraph) -> dict:
     return {"alphabet": list(g.alphabet), "vertices": vertices, "edges": edges}
 
 
+# Rows of the graph file as json.dumps(graph_to_dict(g), indent=2) lays
+# them out; filled with pre-encoded JSON values.
+_VERTEX_ROW = '    {\n      "id": %d,\n      "label": %s\n    }'
+_NAMED_VERTEX_ROW = (
+    '    {\n      "id": %d,\n      "label": %s,\n      "name": %s\n    }'
+)
+_EDGE_ROW = '    {\n      "from": %d,\n      "to": %d\n    }'
+_LABELED_EDGE_ROW = (
+    '    {\n      "from": %d,\n      "to": %d,\n      "edge_label": %s\n    }'
+)
+_ENCODED_BITS = {"0": '"0"', "1": '"1"'}
+_ROW_PAD = " " * 6  # depth of the values inside a vertex or edge row
+_GRAPH_KEYS = ("alphabet", "vertices", "edges")
+
+
+def _encode(value, pad: str) -> str:
+    """`value` as json.dumps(..., indent=2) writes it when it sits `pad`
+    deep: strings, ints and non-empty dicts with string keys by template,
+    anything else by json.dumps itself."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return repr(value)
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        inner = pad + "  "
+        members = zip(
+            map(encode_basestring_ascii, value),
+            _encode_each(list(value.values()), inner),
+        )
+        items = ",\n".join(map((inner + "%s: %s").__mod__, members))
+        return f"{{\n{items}\n{pad}}}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _encode_each(values: Sequence, pad: str):
+    """`_encode` over `values`, by the C string encoder alone when they
+    are all strings."""
+    if set(map(type, values)) <= {str}:
+        return map(encode_basestring_ascii, values)
+    return [_encode(value, pad) for value in values]
+
+
+def graph_json_text(g: LabeledDigraph, extra: dict | None = None) -> str:
+    """The graph file text: exactly json.dumps(graph_to_dict(g) | extra,
+    indent=2), built row by row from templates instead of through the
+    indenting encoder.  `extra` holds further top-level entries, such as
+    the side tables of `mfskit reduce`."""
+    extra = extra or {}
+    targets = tuple(chain.from_iterable(g.out_edges))
+    if not (
+        set(map(type, targets)) <= {int}
+        and set(map(type, extra)) <= {str}
+        and extra.keys().isdisjoint(_GRAPH_KEYS)
+    ):
+        return json.dumps(graph_to_dict(g) | extra, indent=2)
+    if set(map(type, g.alphabet)) == {str}:
+        encoded = dict(zip(g.alphabet, map(encode_basestring_ascii, g.alphabet)))
+        labels = map(encoded.__getitem__, g.labels)
+    else:
+        labels = _encode_each(g.labels, _ROW_PAD)
+    names = g.names
+    if names is None:
+        vertices = map(_VERTEX_ROW.__mod__, enumerate(labels))
+    else:
+        vertices = (
+            _VERTEX_ROW % (v, lab) if name is None
+            else _NAMED_VERTEX_ROW % (v, lab, _encode(name, _ROW_PAD))
+            for v, (lab, name) in enumerate(zip(labels, names))
+        )
+    sources = chain.from_iterable(map(repeat, count(), map(len, g.out_edges)))
+    if g.edge_labels is None:
+        edges = map(_EDGE_ROW.__mod__, zip(sources, targets))
+    else:
+        bits = map(_ENCODED_BITS.__getitem__, chain.from_iterable(g.edge_labels))
+        edges = map(_LABELED_EDGE_ROW.__mod__, zip(sources, targets, bits))
+    parts = [
+        '{\n  "alphabet": ' + _encode(list(g.alphabet), "  "),
+        '  "vertices": ' + _rows(vertices),
+        '  "edges": ' + _rows(edges),
+    ]
+    parts += [
+        f"  {encode_basestring_ascii(key)}: {_encode(value, '  ')}"
+        for key, value in extra.items()
+    ]
+    return ",\n".join(parts) + "\n}"
+
+
+def _rows(rows) -> str:
+    body = ",\n".join(rows)
+    return f"[\n{body}\n  ]" if body else "[]"
+
+
 def _require(cond: bool, where: str, message: str):
     if not cond:
         raise GraphFormatError(f"{where}: {message}")
@@ -261,5 +355,4 @@ def read_graph(path) -> LabeledDigraph:
 
 def write_graph(g: LabeledDigraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2)
-        fh.write("\n")
+        fh.write(graph_json_text(g) + "\n")

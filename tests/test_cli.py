@@ -364,3 +364,44 @@ def test_simulate_needs_a_graph(capsys):
 def test_text_format(capsys):
     out = run(capsys, ["df", "exact-tree", "-n", "1", "--format", "text"])
     assert "success_probability" in out.out and "{" not in out.out
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and the infinities, which RFC 8259
+    JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["df", "exact-tree", "-n", "3"],
+        ["df", "exact-tree", "--sweep", "1:3"],
+        ["df", "exact-tree", "-n", "3", "--float"],
+        ["df", "brute", "--protocol", "tree", "-n", "3"],
+        ["df", "brute", "--protocol", "poulidor", "-n", "3"],
+        ["df", "mc", "--protocol", "tree", "-n", "3", "--samples", "1"],
+        ["df", "mc", "--protocol", "tree", "-n", "3", "--samples", "2"],
+        ["df", "mc", "--protocol", "poulidor", "-n", "4", "--samples", "50"],
+        ["simulate", "--protocol", "tree", "-n", "2", "--trials", "1"],
+        ["simulate", "--protocol", "tree", "-n", "3", "--trials", "40",
+         "--adversary", "early-reply"],
+        ["simulate", "--protocol", "poulidor", "-n", "4", "--trials", "40",
+         "--adversary", "greedy-early-reply"],
+    ],
+)
+def test_df_and_simulate_print_strict_json(capsys, tmp_path, argv):
+    if argv[0] == "simulate":
+        path = tmp_path / "t.jsonl"
+        _strict_json(run(capsys, argv + ["--transcripts", str(path)]).out)
+        for line in path.read_text().splitlines():
+            _strict_json(line)
+    _strict_json(run(capsys, argv).out)
+
+
+def test_df_mc_single_sample_has_no_std_error(capsys):
+    out = run(capsys, ["df", "mc", "--protocol", "tree", "-n", "3", "--samples", "1"])
+    assert _strict_json(out.out)["std_error"] is None

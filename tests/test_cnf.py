@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mfskit import CnfFormula, DimacsError, brute_force_sat, parse_dimacs, satisfies
@@ -95,6 +97,72 @@ def test_brute_force_unsat_with_padding_variable():
 
 
 def test_brute_force_variable_cap():
-    f = CnfFormula(30, ((1, 2),))
-    with pytest.raises(ValueError, match="exceed the exhaustive-search cap"):
-        brute_force_sat(f)
+    for n in (25, 30):
+        cap = f"{n} variables exceed the exhaustive-search cap 24"
+        with pytest.raises(ValueError, match=cap):
+            brute_force_sat(CnfFormula(n, ((1, 2),)))
+
+
+def test_brute_force_at_the_cap():
+    assert brute_force_sat(CnfFormula(24, ((24,), (-1,)))) == (False,) * 23 + (True,)
+
+
+def _counting_order_sat(f):
+    """The exhaustive loop brute_force_sat replaced: one assignment at a
+    time in binary counting order, kept as its oracle."""
+    n = f.variable_count
+    clause_masks = []
+    for clause in f.clauses:
+        pos = 0
+        neg = 0
+        for lit in clause:
+            if lit > 0:
+                pos |= 1 << (lit - 1)
+            else:
+                neg |= 1 << (-lit - 1)
+        clause_masks.append((pos, neg))
+    full = (1 << n) - 1
+    for bits in range(1 << n):
+        inv = bits ^ full
+        if all(bits & pos or inv & neg for pos, neg in clause_masks):
+            return tuple(bool((bits >> j) & 1) for j in range(n))
+    return None
+
+
+def _oracle_formula(rng: random.Random, n: int, units=()) -> CnfFormula:
+    """Random formula of 1-3 literal clauses after the unit clauses `units`.
+
+    Past 16 variables the random clauses are few and at least two literals
+    wide, so they leave the formula satisfiable with small witnesses.  The
+    unit clauses come first, so the oracle rejects each assignment they
+    exclude at its first clause.
+    """
+    wide = n > 16
+    clauses = list(units)
+    for _ in range(rng.randint(1, n // 2 if wide else 2 * n)):
+        variables = rng.sample(range(1, n + 1), rng.randint(1 + wide, min(3, n)))
+        clauses.append(tuple(v if rng.getrandbits(1) else -v for v in variables))
+    return CnfFormula(n, tuple(clauses))
+
+
+def test_brute_force_matches_the_counting_order_oracle():
+    # variable 17 is the first one above brute_force_sat's 16-variable
+    # block: forcing it true moves the witness past the block, and forcing
+    # it both ways at n = 17 makes a formula that spans blocks unsatisfiable
+    past_block_units = [(), ((17,),), ((17,),), ((17,), (-17,))]
+    rng = random.Random(12)
+    seen = {"unsat": 0, "unsat_past_block": 0, "in_block": 0, "past_block": 0}
+    for n in range(2, 21):
+        for k in range(18 if n <= 16 else 8):
+            units = past_block_units[k % 4] if n > 16 else ()
+            f = _oracle_formula(rng, n, units[: 1 if n > 17 else 2])
+            witness = _counting_order_sat(f)
+            assert brute_force_sat(f) == witness, f
+            if witness is None:
+                seen["unsat" if n <= 16 else "unsat_past_block"] += 1
+            elif any(witness[16:]):
+                seen["past_block"] += 1
+            else:
+                seen["in_block"] += 1
+    assert sum(seen.values()) >= 300
+    assert min(seen.values()) >= 2 and seen["past_block"] >= 10, seen

@@ -1,15 +1,21 @@
 import json
+import random
 
 import pytest
+from conftest import random_binary_graph, random_cnf
 
 from mfskit import (
     GraphError,
     GraphFormatError,
     LabeledDigraph,
     graph_from_dict,
+    graph_json_text,
     graph_to_dict,
+    make_generalized_tree,
     make_poulidor,
+    make_tree,
     read_graph,
+    reduce_sat_to_mfs,
     validate_binary_instance,
     write_graph,
 )
@@ -142,3 +148,102 @@ def test_successor_lookup(example_tree):
     assert example_tree.successor(0, "0") == 1
     assert example_tree.successor(0, "1") == 2
     assert example_tree.successor(7, "0") is None  # leaf
+
+
+# -- the graph file writer ----------------------------------------------------
+
+ODD_NAMES = (
+    'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "héllo wörld",
+    "日本語", "emoji \U0001f600", "", "/slash", "\u2028",
+)
+ALPHABETS = (
+    None,
+    ("ab", "c", 'd"é'),
+    (0, 1, 2),
+    ("x", 7, None, 2.5, False, ("nested", 1)),
+)
+EXTRAS = (
+    None,
+    {},
+    {"params": {"variables": 3, "ratio": 0.5, "flag": True, "none": None}},
+    {"empty_list": [], "empty_dict": {}, "nested": {"a": [1, {"b": [], "c": "\n"}]}},
+    {"tuple": (1, "two"), "list": ["x", 2, [3, [4]]], "ints": {"1": 1}},
+)
+
+
+def _reference_text(g, extra=None):
+    return json.dumps(graph_to_dict(g) | (extra or {}), indent=2)
+
+
+def _variants(g: LabeledDigraph, rng: random.Random):
+    """`g` with every names layout and, for out-degree <= 2, edge labels."""
+    n = g.vertex_count
+    all_names = tuple(rng.choice(ODD_NAMES) + str(v) for v in range(n))
+    some_names = tuple(name if rng.getrandbits(1) else None for name in all_names)
+    edge_labels = None
+    if all(len(row) <= 2 for row in g.out_edges):
+        edge_labels = tuple(
+            tuple(rng.sample(("0", "1"), len(row))) for row in g.out_edges
+        )
+    for names in (None, all_names, some_names):
+        for labels in (None, edge_labels):
+            yield LabeledDigraph(g.alphabet, g.labels, g.out_edges, labels, names)
+
+
+def _writer_cases():
+    rng = random.Random(2024)
+    for k in range(60):
+        alphabet = ALPHABETS[k % len(ALPHABETS)]
+        yield from _variants(random_binary_graph(rng, 12, alphabet), rng)
+    yield LabeledDigraph(("0", "1"), ("0", "1", "1"), ((), (), ()))  # no edges
+    yield LabeledDigraph(("0",), ("0",), ((0, 0, 0),))  # loops, out-degree 3
+    yield make_tree(4, seed=1)
+    yield make_poulidor(5, seed=2)
+    yield make_generalized_tree(2, 3, seed=3)
+
+
+def test_writer_matches_the_indenting_encoder():
+    cases = list(_writer_cases())
+    assert any(g.names and None in g.names for g in cases)
+    assert any(g.edge_labels is not None for g in cases)
+    for k, g in enumerate(cases):
+        extra = EXTRAS[k % len(EXTRAS)]
+        assert graph_json_text(g) == _reference_text(g)
+        assert graph_json_text(g, extra) == _reference_text(g, extra), g
+
+
+def test_writer_matches_the_encoder_on_reduce_gadgets():
+    rng = random.Random(7)
+    for _ in range(40):
+        r = reduce_sat_to_mfs(random_cnf(rng))
+        extra = {
+            "roles": {str(v): role for v, role in enumerate(r.roles)},
+            "params": {"variables": r.params.variable_count,
+                       "target_length": r.params.target_length},
+        }
+        assert graph_json_text(r.graph, extra) == _reference_text(r.graph, extra)
+
+
+def test_writer_defers_what_its_templates_do_not_cover():
+    g = make_tree(2, seed=4)
+    bool_target = LabeledDigraph(("0",), ("0", "0"), ((True,), ()))
+    for graph, extra in [
+        (g, {"edges": "replaced in place"}),
+        (g, {3: "int key", None: "null key"}),
+        (bool_target, None),
+    ]:
+        assert graph_json_text(graph, extra) == _reference_text(graph, extra)
+
+
+def test_write_graph_round_trips(tmp_path):
+    path = tmp_path / "g.json"
+    for g in _writer_cases():
+        if not all(isinstance(s, str) for s in g.alphabet):
+            continue  # the file format holds string symbols only
+        write_graph(g, path)
+        assert path.read_text(encoding="utf-8") == _reference_text(g) + "\n"
+        back = read_graph(path)
+        names = g.names if g.names and any(x is not None for x in g.names) else None
+        edge_labels = g.edge_labels if g.edge_count else None
+        assert back == LabeledDigraph(g.alphabet, g.labels, g.out_edges,
+                                      edge_labels, names)

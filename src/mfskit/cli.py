@@ -386,6 +386,12 @@ def main(argv=None) -> int:
         if args.command == "df" and args.method == "exact-tree":
             if not args.sweep and args.rounds is None:
                 raise MfskitError("exact-tree needs --rounds or --sweep")
+            for flag in ("graph", "protocol"):
+                if getattr(args, flag) is not None:
+                    raise MfskitError(
+                        f"exact-tree analyses the full binary tree; --{flag} "
+                        "is for brute and mc"
+                    )
         if args.command == "df" and args.method in ("brute", "mc"):
             if args.rounds is None:
                 raise MfskitError(f"{args.method} needs --rounds")

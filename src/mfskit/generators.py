@@ -40,20 +40,11 @@ def make_tree(
     """Full binary tree of depth n: 2**(n+1) - 1 vertices, root = 0.
 
     Vertex i has children 2i+1 and 2i+2; the first child edge is labeled
-    "0", the second "1".
+    "0", the second "1".  This is the generalized tree with m = 1.
     """
     if n < 1:
         raise GraphError("tree depth must be >= 1")
-    count = (1 << (n + 1)) - 1
-    internal = (1 << n) - 1
-    out = tuple(
-        (2 * v + 1, 2 * v + 2) if v < internal else () for v in range(count)
-    )
-    elabs = tuple(BINARY if v < internal else () for v in range(count))
-    names = ("root",) + (None,) * (count - 1)
-    return LabeledDigraph(
-        BINARY, _resolve_labels(count, labeling, seed), out, elabs, names
-    )
+    return make_generalized_tree(1, n, labeling, seed=seed)
 
 
 def make_poulidor(
@@ -91,33 +82,17 @@ def make_generalized_tree(
     tree of depth n."""
     if m < 0 or n < 1:
         raise GraphError("need m >= 0 and n >= 1")
-    out: list[list[int]] = [[]]
-    level = []
-    nxt = 1
-    for _ in range(2 * m):
-        out[0].append(nxt)
-        out.append([])
-        level.append(nxt)
-        nxt += 1
-    for _ in range(n - 1):
-        new_level = []
-        for v in level:
-            for _ in range(2):
-                out[v].append(nxt)
-                out.append([])
-                new_level.append(nxt)
-                nxt += 1
-        level = new_level
-    count = nxt
+    count = 1 + 2 * m * ((1 << n) - 1)
+    internal = count - (m << n)  # the root and every vertex above depth n
+    # the root points to 1..2m; an internal v >= 1 to 2v+2m-1 and 2v+2m
+    out = [tuple(range(1, 2 * m + 1))]
+    out += [(2 * v + 2 * m - 1, 2 * v + 2 * m) if v < internal else ()
+            for v in range(1, count)]
     # edge labels are only well defined when every out-degree is <= 2
     elabs = None
     if m == 1:
         elabs = tuple(BINARY if row else () for row in out)
     names = ("root",) + (None,) * (count - 1)
     return LabeledDigraph(
-        BINARY,
-        _resolve_labels(count, labeling, seed),
-        tuple(tuple(row) for row in out),
-        elabs,
-        names,
+        BINARY, _resolve_labels(count, labeling, seed), out, elabs, names
     )

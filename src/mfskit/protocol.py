@@ -221,7 +221,8 @@ class _SessionPlan:
             return False
         alphabet = labeled.alphabet
         if alphabet is not self.alphabet:
-            if not all(len(sym) == 1 and sym.isascii() for sym in alphabet):
+            if not all(isinstance(sym, str) and len(sym) == 1 and sym.isascii()
+                       for sym in alphabet):
                 return False
             self.alphabet = alphabet
         return True

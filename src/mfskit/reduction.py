@@ -16,12 +16,18 @@ pair.  A sequence of length n+1+ceil(log2 m) then occurs once per clause
 whose lane can reach the backbone under the suffix read as an assignment,
 so the maximum frequency is m exactly when the formula is satisfiable, and
 the suffix of a maximizer decodes a satisfying assignment.
+
+Vertex ids follow one layout, so every out-row is computed once, in id
+order.  The leaf tree comes first, level by level: the root is 0, the
+internal nodes t_1, t_2, ... have the ids in their names, and the leaves
+c_1..c_m are last.  With T tree vertices, the backbone pair u_0^j / v_0^j
+follows at T + 2(j-2), then lane i's pair u_i^j / v_i^j at
+T + 2(n-1)i + 2(j-1); each v sits right after its u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log2
 from typing import Sequence
 
 from .cnf import CnfFormula, brute_force_sat, satisfies
@@ -31,7 +37,7 @@ from .walks import frontier_step, most_frequent_sequence
 
 
 def _tree_depth(m: int) -> int:
-    return ceil(log2(m)) if m > 1 else 0
+    return (m - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -59,63 +65,30 @@ class ReductionOutput:
         return dict(enumerate(self.roles))
 
 
-class _Builder:
-    """Vertex/edge accumulator; edge insertion is set-like (duplicates
-    collapse) while preserving first-insertion order."""
-
-    def __init__(self):
-        self.roles: list[str] = []
-        self.out: list[list[int]] = []
-        self._seen: list[set[int]] = []
-
-    def add_vertex(self, role: str) -> int:
-        self.roles.append(role)
-        self.out.append([])
-        self._seen.append(set())
-        return len(self.roles) - 1
-
-    def add_edge(self, src: int, dst: int):
-        if dst not in self._seen[src]:
-            self._seen[src].add(dst)
-            self.out[src].append(dst)
-
-
-def build_leaf_tree(m: int) -> tuple[_Builder, list[int]]:
+def build_leaf_tree(m: int) -> tuple[list[str], list[tuple[int, ...]], list[int]]:
     """Binary tree with m leaves, all at depth ceil(log2 m).
 
     For non-powers of two this is the complete tree of that depth keeping
     the leftmost m leaves, with childless branches pruned (out-degree may
-    drop to 1, which the binary instance permits).  Returns the builder
-    and the leaf ids in left-to-right order.
+    drop to 1, which the binary instance permits).  Depth k keeps
+    ceil(m / 2**(depth-k)) nodes, numbered level by level; node i of a
+    level has children 2i and 2i+1 on the next when they survive.  Returns
+    the roles, the out-rows (leaf rows empty) and the leaf ids in
+    left-to-right order, which are the last m ids.
     """
     if m < 1:
         raise ValueError("need at least one leaf")
     depth = _tree_depth(m)
-    b = _Builder()
-    if depth == 0:
-        b.add_vertex("c_1")
-        return b, [0]
-    b.add_vertex("root")
-    # a node at (depth k, index i) survives iff its subtree holds a kept leaf,
-    # i.e. iff i * 2**(depth-k) < m
-    level = [(0, 0)]  # (vertex id, index within level)
-    internal_count = 0
-    for k in range(1, depth + 1):
-        new_level = []
-        for vid, idx in level:
-            for child in (2 * idx, 2 * idx + 1):
-                if child * (1 << (depth - k)) >= m:
-                    continue
-                if k == depth:
-                    cid = b.add_vertex(f"c_{child + 1}")
-                else:
-                    internal_count += 1
-                    cid = b.add_vertex(f"t_{internal_count}")
-                b.add_edge(vid, cid)
-                new_level.append((cid, child))
-        level = new_level
-    leaves = [vid for vid, _ in level]
-    return b, leaves
+    widths = [-(-m >> (depth - k)) for k in range(depth + 1)]
+    out: list[tuple[int, ...]] = []
+    for width, below in zip(widths, widths[1:]):
+        nxt = len(out) + width  # id of the next level's first node
+        out += [tuple(range(nxt + 2 * i, nxt + min(2 * i + 2, below)))
+                for i in range(width)]
+    internal = len(out)
+    roles = [f"t_{v}" if v else "root" for v in range(internal)]
+    roles += [f"c_{i}" for i in range(1, m + 1)]
+    return roles, out + [()] * m, list(range(internal, internal + m))
 
 
 def reduce_sat_to_mfs(f: CnfFormula) -> ReductionOutput:
@@ -127,54 +100,41 @@ def reduce_sat_to_mfs(f: CnfFormula) -> ReductionOutput:
     n = f.variable_count
     m = f.clause_count
     depth = _tree_depth(m)
-    b, leaves = build_leaf_tree(m)
+    roles, out, leaves = build_leaf_tree(m)
+    base = len(roles)  # u_0^j is base + 2(j-2)
+    lane = 2 * (n - 1)  # ids per lane; lane i starts at base + lane * i
+    last = base + lane - 2  # u_0^n
 
-    backbone: dict[tuple[str, int], int] = {}
-    for j in range(2, n + 1):
-        backbone[("u", j)] = b.add_vertex(f"u_0^{j}")
-        backbone[("v", j)] = b.add_vertex(f"v_0^{j}")
+    roles += [f"{kind}_0^{j}" for j in range(2, n + 1) for kind in "uv"]
+    roles += [f"{kind}_{i}^{j}" for i in range(1, m + 1)
+              for j in range(1, n) for kind in "uv"]
+    # a leaf enters its lane at u_i^1 / v_i^1
+    rows = out[: leaves[0]]
+    rows += [(s, s + 1) for s in range(base + lane, base + lane * (m + 1), lane)]
+    # the backbone pair j chains to pair j+1; the pair n ends every full walk
     for j in range(2, n):
-        for kind in ("u", "v"):
-            b.add_edge(backbone[(kind, j)], backbone[("u", j + 1)])
-            b.add_edge(backbone[(kind, j)], backbone[("v", j + 1)])
-
+        rows += [(base + 2 * j - 2, base + 2 * j - 1)] * 2
+    rows += [(), ()]
     for i, clause in enumerate(f.clauses, 1):
         lits = set(clause)
-        lane: dict[tuple[str, int], int] = {}
+        # position n: lane ends attach straight to the last backbone pair
+        hook = tuple(v for v, lit in ((last, n), (last + 1, -n)) if lit in lits)
         for j in range(1, n):
-            lane[("u", j)] = b.add_vertex(f"u_{i}^{j}")
-            lane[("v", j)] = b.add_vertex(f"v_{i}^{j}")
-        b.add_edge(leaves[i - 1], lane[("u", 1)])
-        b.add_edge(leaves[i - 1], lane[("v", 1)])
-        for j in range(1, n):
-            # the satisfying side exits to the backbone, the other stays in
-            # lane; lane vertices for position n do not exist, so in-lane
-            # edges at j = n-1 vanish and position n is wired below
-            for kind, lit in (("u", j), ("v", -j)):
-                src = lane[(kind, j)]
+            stay = base + lane * i + 2 * j  # u_i^{j+1}
+            backbone = base + 2 * j - 2  # u_0^{j+1}
+            for lit in (j, -j):
+                # the satisfying side exits to the backbone, the other stays
+                # in lane; lane vertices for position n do not exist
                 if lit in lits:
-                    b.add_edge(src, backbone[("u", j + 1)])
-                    b.add_edge(src, backbone[("v", j + 1)])
-                elif j + 1 <= n - 1:
-                    b.add_edge(src, lane[("u", j + 1)])
-                    b.add_edge(src, lane[("v", j + 1)])
-        if n in lits:
-            b.add_edge(lane[("u", n - 1)], backbone[("u", n)])
-            b.add_edge(lane[("v", n - 1)], backbone[("u", n)])
-        if -n in lits:
-            b.add_edge(lane[("u", n - 1)], backbone[("v", n)])
-            b.add_edge(lane[("v", n - 1)], backbone[("v", n)])
+                    rows.append((backbone, backbone + 1))
+                else:
+                    rows.append((stay, stay + 1) if j < n - 1 else hook)
 
-    labels = tuple("0" if role.startswith("v_") else "1" for role in b.roles)
-    graph = LabeledDigraph(
-        ("0", "1"),
-        labels,
-        tuple(tuple(row) for row in b.out),
-        None,
-        tuple(b.roles),
-    )
+    # tree vertices read 1, then every u/v pair reads 1, 0
+    labels = ("1",) * base + ("1", "0") * (n - 1) * (m + 1)
+    graph = LabeledDigraph(("0", "1"), labels, rows, None, roles)
     params = ReductionParams(n, m, depth, n + 1 + depth)
-    return ReductionOutput(graph, tuple(b.roles), params)
+    return ReductionOutput(graph, graph.names, params)
 
 
 @dataclass(frozen=True)

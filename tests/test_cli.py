@@ -23,6 +23,13 @@ def test_generate_matches_golden(capsys, tmp_path):
     assert out.out == (GOLDEN / "tree_n2.json").read_text()
 
 
+def test_generate_gentree_matches_golden(capsys, tmp_path):
+    out = run(capsys, ["generate", "gentree", "-m", "2", "-n", "3"])
+    assert out.out == (GOLDEN / "gentree_m2_n3.json").read_text()
+    run(capsys, ["generate", "gentree", "-m", "2", "-n", "3", "--out", str(tmp_path / "g.json")])
+    assert (tmp_path / "g.json").read_text() == out.out
+
+
 def test_generate_seeded_deterministic(capsys):
     first = run(capsys, ["generate", "poulidor", "-n", "3", "--seed", "5"]).out
     second = run(capsys, ["generate", "poulidor", "-n", "3", "--seed", "5"]).out
@@ -135,6 +142,14 @@ def test_df_sweep_csv(capsys):
 
 def test_df_requires_rounds(capsys):
     run(capsys, ["df", "exact-tree"], expect=EXIT_INPUT)
+
+
+@pytest.mark.parametrize("flag, value", [("--protocol", "poulidor"), ("--graph", "g.json")])
+def test_df_exact_rejects_graph_flags(capsys, flag, value):
+    for argv in (["-n", "2"], ["--sweep", "1:2"]):
+        out = run(capsys, ["df", "exact-tree", flag, value, *argv], expect=EXIT_INPUT)
+        assert out.out == ""
+        assert f"{flag} is for brute and mc" in out.err
 
 
 def test_df_exact_refusal_exit_code(capsys):

@@ -111,6 +111,12 @@ def _long_symbols(structure, key, verifier_nonce, prover_nonce):
                           structure.out_edges, labeled.edge_labels)
 
 
+def _int_symbols(structure, key, verifier_nonce, prover_nonce):
+    labeled = label_graph_from_prf(structure, key, verifier_nonce, prover_nonce)
+    return LabeledDigraph((0, 1), tuple(int(s) for s in labeled.labels),
+                          structure.out_edges, labeled.edge_labels)
+
+
 def _count_solves(monkeypatch):
     solved = []
 
@@ -122,8 +128,8 @@ def _count_solves(monkeypatch):
     return solved
 
 
-@pytest.mark.parametrize("labeler", [_reversed_edges, _long_symbols],
-                         ids=["edges-changed", "multi-char"])
+@pytest.mark.parametrize("labeler", [_reversed_edges, _long_symbols, _int_symbols],
+                         ids=["edges-changed", "multi-char", "int-symbols"])
 def test_labelings_outside_the_plan_use_the_solver(monkeypatch, labeler):
     solved = _count_solves(monkeypatch)
     config = ProtocolConfig(graph=make_poulidor(5), start=0, rounds=5, trials=60,

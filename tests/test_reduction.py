@@ -37,42 +37,90 @@ def role_adjacency(r):
 
 
 def test_leaf_tree_single_clause():
-    b, leaves = build_leaf_tree(1)
-    assert b.roles == ["c_1"]
+    roles, out, leaves = build_leaf_tree(1)
+    assert roles == ["c_1"]
     assert leaves == [0]
 
 
 def test_leaf_tree_three_leaves():
-    b, leaves = build_leaf_tree(3)
-    assert b.roles[0] == "root"
-    assert [b.roles[v] for v in leaves] == ["c_1", "c_2", "c_3"]
+    roles, out, leaves = build_leaf_tree(3)
+    assert roles[0] == "root"
+    assert [roles[v] for v in leaves] == ["c_1", "c_2", "c_3"]
     # depth 2, the right branch prunes to a single chain
-    adj = {b.roles[v]: sorted(b.roles[w] for w in b.out[v]) for v in range(len(b.roles))}
+    adj = {roles[v]: sorted(roles[w] for w in out[v]) for v in range(len(roles))}
     assert adj["root"] == ["t_1", "t_2"]
     assert adj["t_1"] == ["c_1", "c_2"]
     assert adj["t_2"] == ["c_3"]
 
 
 def test_leaf_tree_power_of_two_is_complete():
-    b, leaves = build_leaf_tree(4)
+    roles, out, leaves = build_leaf_tree(4)
     assert len(leaves) == 4
-    assert len(b.roles) == 7
-    assert all(len(b.out[v]) in (0, 2) for v in range(len(b.roles)))
+    assert len(roles) == 7
+    assert all(len(out[v]) in (0, 2) for v in range(len(roles)))
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_leaf_tree_leaves_at_equal_depth(m):
-    b, leaves = build_leaf_tree(m)
+    roles, out, leaves = build_leaf_tree(m)
     depth = ceil(log2(m)) if m > 1 else 0
     dist = {0: 0}
     order = [0]
     for v in order:
-        for w in b.out[v]:
+        for w in out[v]:
             dist[w] = dist[v] + 1
             order.append(w)
-    assert [b.roles[v] for v in leaves] == [f"c_{i}" for i in range(1, m + 1)]
+    assert [roles[v] for v in leaves] == [f"c_{i}" for i in range(1, m + 1)]
     assert all(dist[v] == depth for v in leaves)
-    assert all(len(b.out[v]) <= 2 for v in range(len(b.roles)))
+    assert all(len(out[v]) <= 2 for v in range(len(roles)))
+
+
+def spec_successors(f):
+    """Successor roles of every role, in row order and in vertex-id order,
+    from the wiring rules in the reduction module docstring."""
+    n, m = f.variable_count, f.clause_count
+    depth = ceil(log2(m)) if m > 1 else 0
+    # the complete tree of that depth keeps the nodes above the first m leaves
+    names = {}
+    for k in range(depth + 1):
+        for i in range(2**k):
+            if i * 2 ** (depth - k) < m:
+                names[k, i] = (f"c_{i + 1}" if k == depth
+                               else f"t_{len(names)}" if k else "root")
+    succ = {name: [names[k + 1, c] for c in (2 * i, 2 * i + 1) if (k + 1, c) in names]
+            for (k, i), name in names.items()}
+    for j in range(2, n + 1):
+        for kind in "uv":
+            succ[f"{kind}_0^{j}"] = [f"u_0^{j + 1}", f"v_0^{j + 1}"] if j < n else []
+    for i, clause in enumerate(f.clauses, 1):
+        succ[f"c_{i}"] = [f"u_{i}^1", f"v_{i}^1"]
+        for j in range(1, n):
+            for kind, lit in (("u", j), ("v", -j)):
+                if lit in clause:
+                    row = [f"u_0^{j + 1}", f"v_0^{j + 1}"]
+                elif j < n - 1:
+                    row = [f"u_{i}^{j + 1}", f"v_{i}^{j + 1}"]
+                else:
+                    row = [f"{k}_0^{n}" for k, hook in (("u", n), ("v", -n))
+                           if hook in clause]
+                succ[f"{kind}_{i}^{j}"] = row
+    return succ
+
+
+def test_gadget_rows_follow_the_wiring_rules():
+    rng = random.Random(2718)
+    for _ in range(150):
+        f = random_cnf(rng, max_vars=9, max_clauses=20)
+        r = reduce_sat_to_mfs(f)
+        expected = spec_successors(f)
+        got = {role: [r.roles[w] for w in r.graph.out_edges[v]]
+               for v, role in enumerate(r.roles)}
+        assert len(got) == len(r.roles)
+        assert list(got) == list(expected)
+        assert got == expected
+        assert r.graph.names == r.roles
+        assert r.graph.labels == tuple(
+            "0" if role.startswith("v_") else "1" for role in r.roles)
 
 
 # -- the worked reduction -----------------------------------------------------------

@@ -15,13 +15,13 @@ import csv
 import io
 import json
 import sys
-import time
 from dataclasses import fields, replace
 
 from . import __version__
 from .errors import Limits, MfskitError, ResourceLimitError
 from .fraud import (
     brute_force_expected_max,
+    check_round_limit,
     distance_fraud_probability,
     expected_max_tree,
     expected_max_tree_float,
@@ -131,26 +131,16 @@ def _parse_labels(raw: str) -> tuple[str, ...]:
 def _cmd_generate(args) -> int:
     labels = _parse_labels(args.labels) if args.labels else None
     seed = args.seed if args.labels is None else None
-    if args.kind == "tree":
-        g = make_tree(args.rounds, labels, seed=seed)
-    elif args.kind == "poulidor":
-        g = make_poulidor(args.rounds, labels, seed=seed)
-    else:
-        if args.fan is None:
-            raise MfskitError("gentree needs --fan (half the root degree)")
-        g = make_generalized_tree(args.fan, args.rounds, labels, seed=seed)
-    _write_or_print(args, graph_json_text(g))
+    _write_or_print(args, graph_json_text(args.make(args, labeling=labels, seed=seed)))
     return EXIT_OK
 
 
 def _cmd_mfs(args) -> int:
     limits = _limits_from_args(args)
     g = read_graph(args.graph)
-    t0 = time.perf_counter()
     result = most_frequent_sequence(
         g, args.start, args.length, mode=args.mode, limits=limits
     )
-    elapsed = time.perf_counter() - t0
     _emit(
         args,
         {
@@ -160,62 +150,57 @@ def _cmd_mfs(args) -> int:
             "length": args.length,
             "start": args.start,
             "mode": args.mode,
-            "elapsed_seconds": round(elapsed, 6),
         },
     )
     return EXIT_OK
 
 
-def _df_report_exact(n: int, limits: Limits, workers: int) -> dict:
-    result = expected_max_tree(n, limits=limits, workers=workers)
-    report = distance_fraud_probability(result.expected_max, n, "exact-dp")
-    return report.to_json_dict()
+def _df_report(n: int, limits: Limits, args) -> dict:
+    if args.float:
+        e, _cdf = expected_max_tree_float(n, limits=limits, force=args.force)
+        return {
+            "method": "exact-dp-float",
+            "rounds": n,
+            "expected_max": e,
+            "success_probability": e / (1 << n),
+        }
+    result = expected_max_tree(n, limits=limits, workers=args.threads)
+    return distance_fraud_probability(result.expected_max, n, "exact-dp").to_json_dict()
 
 
-def _df_report_float(n: int, limits: Limits, force: bool) -> dict:
-    e, _cdf = expected_max_tree_float(n, limits=limits, force=force)
-    return {
-        "method": "exact-dp-float",
-        "rounds": n,
-        "expected_max": e,
-        "success_probability": e / (1 << n),
-    }
-
-
-def _cmd_df(args) -> int:
+def _cmd_df_exact(args) -> int:
     limits = _limits_from_args(args)
-    if args.method == "exact-tree":
-        rounds = range(args.sweep[0], args.sweep[1] + 1) if args.sweep else [args.rounds]
-        payload = [
-            _df_report_float(n, limits, args.force)
-            if args.float
-            else _df_report_exact(n, limits, args.threads)
-            for n in rounds
-        ]
-        _emit(args, payload if args.sweep else payload[0])
-        return EXIT_OK
+    lo, hi = args.sweep or (args.rounds, args.rounds)
+    check_round_limit(hi, limits, float_mode=args.float, force=args.force)
+    payload = [_df_report(n, limits, args) for n in range(lo, hi + 1)]
+    _emit(args, payload if args.sweep else payload[0])
+    return EXIT_OK
 
-    graph = _df_graph(args)
-    if args.method == "brute":
-        expected = brute_force_expected_max(graph, args.start, args.rounds, limits=limits)
-        report = distance_fraud_probability(expected, args.rounds, "brute-force")
-        _emit(args, report.to_json_dict())
-        return EXIT_OK
+
+def _cmd_df_brute(args) -> int:
+    limits = _limits_from_args(args)
+    expected = brute_force_expected_max(
+        _df_graph(args), args.start, args.rounds, limits=limits
+    )
+    report = distance_fraud_probability(expected, args.rounds, "brute-force")
+    _emit(args, report.to_json_dict())
+    return EXIT_OK
+
+
+def _cmd_df_mc(args) -> int:
+    limits = _limits_from_args(args)
     report = monte_carlo_expected_max(
-        graph, args.start, args.rounds, args.samples, args.seed, limits=limits
+        _df_graph(args), args.start, args.rounds, args.samples, args.seed, limits=limits
     )
     _emit(args, report.to_json_dict())
     return EXIT_OK
 
 
 def _df_graph(args):
-    if args.graph:
+    if args.graph is not None:
         return read_graph(args.graph)
-    if args.protocol == "tree":
-        return make_tree(args.rounds)
-    if args.protocol == "poulidor":
-        return make_poulidor(args.rounds)
-    raise MfskitError("need --graph FILE or --protocol {tree,poulidor}")
+    make = make_tree if args.protocol == "tree" else make_poulidor
+    return make(args.rounds)
 
 
 def _cmd_reduce(args) -> int:
@@ -263,7 +248,7 @@ def _key_from_args(raw: str | None) -> bytes:
 def _cmd_simulate(args) -> int:
     limits = _limits_from_args(args)
     graph = _df_graph(args)
-    if args.graph:
+    if args.graph is not None:
         check = validate_binary_instance(graph)
         if not check.ok:
             raise MfskitError("; ".join(check.violations))
@@ -308,17 +293,31 @@ def build_parser() -> argparse.ArgumentParser:
     for name in LIMIT_FIELDS:
         common.add_argument(f"--{name.replace('_', '-')}", type=int, default=None,
                             help=f"override the {name} limit")
+    # the graph that df brute, df mc and simulate run on, its start and rounds
+    on_graph = argparse.ArgumentParser(add_help=False)
+    source = on_graph.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help="graph JSON file")
+    source.add_argument("--protocol", choices=("tree", "poulidor"))
+    on_graph.add_argument("--start", type=int, default=0)
+    on_graph.add_argument("-n", "--rounds", type=int, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="emit a protocol graph")
-    p.add_argument("kind", choices=("tree", "poulidor", "gentree"))
-    p.add_argument("-n", "--rounds", type=int, required=True)
-    p.add_argument("-m", "--fan", type=int, default=None,
-                   help="gentree only: the root has 2*fan children")
-    p.add_argument("--labels", default=None,
-                   help="explicit labels, e.g. 010... or comma-separated")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
+    gen = argparse.ArgumentParser(add_help=False)
+    gen.add_argument("-n", "--rounds", type=int, required=True)
+    gen.add_argument("--labels", default=None,
+                     help="explicit labels, e.g. 010... or comma-separated")
+    gen.add_argument("--out", default=None, help="output file (default stdout)")
+    p = sub.add_parser("generate", help="emit a protocol graph")
     p.set_defaults(func=_cmd_generate)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("tree", parents=[common, gen], help="full binary tree")
+    p.set_defaults(make=lambda a, **kw: make_tree(a.rounds, **kw))
+    p = kinds.add_parser("poulidor", parents=[common, gen], help="Poulidor ring")
+    p.set_defaults(make=lambda a, **kw: make_poulidor(a.rounds, **kw))
+    p = kinds.add_parser("gentree", parents=[common, gen], help="generalized tree")
+    p.add_argument("-m", "--fan", type=int, required=True,
+                   help="the root has 2*fan children")
+    p.set_defaults(make=lambda a, **kw: make_generalized_tree(a.fan, a.rounds, **kw))
 
     p = sub.add_parser("mfs", parents=[common], help="most frequent sequence")
     p.add_argument("graph", help="graph JSON file")
@@ -327,20 +326,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("auto", "seq", "walk"), default="auto")
     p.set_defaults(func=_cmd_mfs)
 
-    p = sub.add_parser("df", parents=[common], help="distance-fraud probability")
-    p.add_argument("method", choices=("exact-tree", "brute", "mc"))
-    p.add_argument("-n", "--rounds", type=int, default=None)
-    p.add_argument("--sweep", type=_parse_range, default=None, metavar="LO:HI",
-                   help="exact-tree only: report a whole range of rounds")
-    p.add_argument("--float", action="store_true",
-                   help="floating-point mode (exact-tree)")
+    methods = sub.add_parser("df", help="distance-fraud probability").add_subparsers(
+        dest="method", required=True)
+    p = methods.add_parser("exact-tree", parents=[common],
+                           help="exact recursion on the full binary tree")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("-n", "--rounds", type=int)
+    size.add_argument("--sweep", type=_parse_range, metavar="LO:HI",
+                      help="report a whole range of rounds")
+    p.add_argument("--float", action="store_true", help="floating-point mode")
     p.add_argument("--force", action="store_true",
                    help="override the round limit (float mode only)")
-    p.add_argument("--graph", default=None, help="graph JSON file (brute/mc)")
-    p.add_argument("--protocol", choices=("tree", "poulidor"), default=None)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100000, help="mc only")
-    p.set_defaults(func=_cmd_df)
+    p.set_defaults(func=_cmd_df_exact)
+    p = methods.add_parser("brute", parents=[common, on_graph],
+                           help="every labeling of the graph")
+    p.set_defaults(func=_cmd_df_brute)
+    p = methods.add_parser("mc", parents=[common, on_graph],
+                           help="Monte Carlo over random labelings")
+    p.add_argument("--samples", type=int, default=100000)
+    p.set_defaults(func=_cmd_df_mc)
 
     p = sub.add_parser("reduce", parents=[common],
                        help="SAT to frequency-gadget reduction")
@@ -350,11 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check against exhaustive satisfiability")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("simulate", parents=[common], help="run protocol sessions")
-    p.add_argument("--graph", default=None)
-    p.add_argument("--protocol", choices=("tree", "poulidor"), default=None)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("-n", "--rounds", type=int, required=True)
+    p = sub.add_parser("simulate", parents=[common, on_graph],
+                       help="run protocol sessions")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--adversary",
                    choices=("honest", "early-reply", "greedy-early-reply"),
@@ -378,23 +379,13 @@ def _parse_range(raw: str) -> tuple[int, int]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: --help, --version or bad arguments
+        return exc.code
     try:
         if args.threads < 1:
             raise MfskitError(f"--threads: need workers >= 1, got {args.threads}")
-        if args.command == "df" and args.method == "exact-tree":
-            if not args.sweep and args.rounds is None:
-                raise MfskitError("exact-tree needs --rounds or --sweep")
-            for flag in ("graph", "protocol"):
-                if getattr(args, flag) is not None:
-                    raise MfskitError(
-                        f"exact-tree analyses the full binary tree; --{flag} "
-                        "is for brute and mc"
-                    )
-        if args.command == "df" and args.method in ("brute", "mc"):
-            if args.rounds is None:
-                raise MfskitError(f"{args.method} needs --rounds")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -178,6 +178,25 @@ class CdfTable:
         return self.values[x - 1]
 
 
+def check_round_limit(
+    n: int, limits: Limits, *, float_mode: bool = False, force: bool = False
+) -> None:
+    """Refuse n < 1, and n above `limits.max_exact_rounds` unless float mode
+    is forced past it.  The CLI checks a sweep once, with its top round."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > limits.max_exact_rounds and not float_mode:
+        raise ResourceLimitError(
+            f"exact mode is limited to n <= {limits.max_exact_rounds}; "
+            "use float mode with an explicit override for larger n"
+        )
+    if n > limits.max_exact_rounds and not force:
+        raise ResourceLimitError(
+            f"n = {n} exceeds the configured limit {limits.max_exact_rounds}; "
+            "pass force=True (CLI: --force) to run float mode anyway"
+        )
+
+
 @dataclass(frozen=True)
 class TreeExpectation:
     rounds: int
@@ -200,15 +219,9 @@ def expected_max_tree(
     table; the stride balances the uneven cost per threshold, and the
     results interleave back deterministically.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    if n > limits.max_exact_rounds:
-        raise ResourceLimitError(
-            f"exact mode is limited to n <= {limits.max_exact_rounds}; "
-            "use float mode with an explicit override for larger n"
-        )
+    check_round_limit(n, limits)
     top = 1 << n
     if workers > 1:
         numerators = [0] * (top + 1)
@@ -252,13 +265,7 @@ def expected_max_tree_float(
     explicit override beyond the exact-mode round limit; precision caveat:
     probabilities below roughly 1e-300 round to zero.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > limits.max_exact_rounds and not force:
-        raise ResourceLimitError(
-            f"n = {n} exceeds the configured limit {limits.max_exact_rounds}; "
-            "pass force=True (CLI: --force) to run float mode anyway"
-        )
+    check_round_limit(n, limits, float_mode=True, force=force)
     top = 1 << n
     rows = [_with_sums(_binom_pmf_row(2 * m)) for m in range(top // 2 + 1)]
     # pmf rows carry no powers of two: scaling by 2**e is the identity

@@ -47,11 +47,7 @@ def test_mfs_pipeline_matches_golden(capsys, tmp_path):
     run(capsys, ["generate", "tree", "-n", "2", "--labels", "0100110",
                  "--out", str(graph)])
     out = run(capsys, ["mfs", str(graph), "--length", "3"])
-    report = json.loads(out.out)
-    assert report.pop("elapsed_seconds") >= 0
-    golden = json.loads((GOLDEN / "mfs_tree_n2.json").read_text())
-    golden.pop("elapsed_seconds")
-    assert report == golden
+    assert out.out == (GOLDEN / "mfs_tree_n2.json").read_text()
 
 
 def test_mfs_worked_example(capsys, tmp_path):
@@ -149,7 +145,45 @@ def test_df_exact_rejects_graph_flags(capsys, flag, value):
     for argv in (["-n", "2"], ["--sweep", "1:2"]):
         out = run(capsys, ["df", "exact-tree", flag, value, *argv], expect=EXIT_INPUT)
         assert out.out == ""
-        assert f"{flag} is for brute and mc" in out.err
+        assert f"unrecognized arguments: {flag} {value}" in out.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["df", "brute", "--protocol", "tree", "-n", "2", "--sweep", "1:4"], "--sweep"),
+    (["df", "brute", "--protocol", "tree", "-n", "2", "--float"], "--float"),
+    (["df", "mc", "--protocol", "tree", "-n", "2", "--force"], "--force"),
+    (["df", "exact-tree", "-n", "2", "--samples", "7"], "--samples"),
+    (["df", "exact-tree", "-n", "2", "--start", "3"], "--start"),
+    (["df", "exact-tree", "-n", "2", "--sweep", "1:2"], "--sweep"),
+    (["generate", "tree", "-n", "2", "-m", "3"], "-m"),
+    (["simulate", "--graph", str(GOLDEN / "tree_n2.json"), "--protocol", "poulidor",
+      "-n", "2"], "--protocol"),
+    (["df", "exact-tree", "--sweep", "3:1"], "--sweep"),
+], ids=["brute-sweep", "brute-float", "mc-force", "exact-samples", "exact-start",
+        "exact-n-and-sweep", "tree-fan", "graph-and-protocol", "reversed-sweep"])
+def test_flags_a_command_does_not_read_are_refused(capsys, argv, flag):
+    out = run(capsys, argv, expect=EXIT_INPUT)
+    assert out.out == ""
+    assert flag in out.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("flags", [[], ["--float"]])
+def test_df_sweep_past_the_limit_sweeps_nothing(capsys, monkeypatch, flags):
+    import mfskit.cli as cli
+
+    calls = []
+
+    def counting(engine):
+        def call(n, **kwargs):
+            calls.append(n)
+            return engine(n, **kwargs)
+        return call
+
+    for name in ("expected_max_tree", "expected_max_tree_float"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    argv = ["df", "exact-tree", "--sweep", "1:5", "--max-exact-rounds", "4", *flags]
+    out = run(capsys, argv, expect=EXIT_RESOURCE)
+    assert (out.out, calls) == ("", [])
 
 
 def test_df_exact_refusal_exit_code(capsys):

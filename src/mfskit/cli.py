@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -55,7 +56,7 @@ LIMIT_FIELDS = tuple(f.name for f in fields(Limits))
 
 def _limits_from_args(args) -> Limits:
     overrides = {name: getattr(args, name) for name in LIMIT_FIELDS
-                 if getattr(args, name) is not None}
+                 if getattr(args, name, None) is not None}
     for name, value in overrides.items():
         if value <= 0:
             raise MfskitError(
@@ -130,8 +131,8 @@ def _parse_labels(raw: str) -> tuple[str, ...]:
 
 def _cmd_generate(args) -> int:
     labels = _parse_labels(args.labels) if args.labels else None
-    seed = args.seed if args.labels is None else None
-    _write_or_print(args, graph_json_text(args.make(args, labeling=labels, seed=seed)))
+    graph = args.make(args, labeling=labels, seed=args.seed)
+    _write_or_print(args, graph_json_text(graph))
     return EXIT_OK
 
 
@@ -157,7 +158,7 @@ def _cmd_mfs(args) -> int:
 
 def _df_report(n: int, limits: Limits, args) -> dict:
     if args.float:
-        e, _cdf = expected_max_tree_float(n, limits=limits, force=args.force)
+        e, _cdf = expected_max_tree_float(n, limits=limits)
         return {
             "method": "exact-dp-float",
             "rounds": n,
@@ -169,9 +170,11 @@ def _df_report(n: int, limits: Limits, args) -> dict:
 
 
 def _cmd_df_exact(args) -> int:
+    if args.threads < 1:
+        raise MfskitError(f"--threads: need workers >= 1, got {args.threads}")
     limits = _limits_from_args(args)
     lo, hi = args.sweep or (args.rounds, args.rounds)
-    check_round_limit(hi, limits, float_mode=args.float, force=args.force)
+    check_round_limit(hi, limits)
     payload = [_df_report(n, limits, args) for n in range(lo, hi + 1)]
     _emit(args, payload if args.sweep else payload[0])
     return EXIT_OK
@@ -279,22 +282,26 @@ def _cmd_simulate(args) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once; a leaf lists the parents of the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="mfskit",
         description="Distance-fraud analysis for graph-based distance bounding",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for parallelizable sweeps")
-    for name in LIMIT_FIELDS:
-        common.add_argument(f"--{name.replace('_', '-')}", type=int, default=None,
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    seeding = dict(type=int, default=0, help="PRNG seed (default 0)")  # also generate's
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", **seeding)
+    limit = {name: argparse.ArgumentParser(add_help=False) for name in LIMIT_FIELDS}
+    for name, holder in limit.items():
+        holder.add_argument(f"--{name.replace('_', '-')}", type=int, default=None,
                             help=f"override the {name} limit")
-    # the graph that df brute, df mc and simulate run on, its start and rounds
-    on_graph = argparse.ArgumentParser(add_help=False)
+    # the graph that df brute, df mc and simulate run on, and what all three read
+    on_graph = argparse.ArgumentParser(add_help=False,
+                                       parents=[fmt, limit["max_walks"]])
     source = on_graph.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", help="graph JSON file")
     source.add_argument("--protocol", choices=("tree", "poulidor"))
@@ -304,22 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = argparse.ArgumentParser(add_help=False)
     gen.add_argument("-n", "--rounds", type=int, required=True)
-    gen.add_argument("--labels", default=None,
-                     help="explicit labels, e.g. 010... or comma-separated")
+    labeling = gen.add_mutually_exclusive_group()
+    labeling.add_argument("--labels", default=None,
+                          help="explicit labels, e.g. 010... or comma-separated")
+    labeling.add_argument("--seed", **seeding)
     gen.add_argument("--out", default=None, help="output file (default stdout)")
     p = sub.add_parser("generate", help="emit a protocol graph")
     p.set_defaults(func=_cmd_generate)
     kinds = p.add_subparsers(dest="kind", required=True)
-    p = kinds.add_parser("tree", parents=[common, gen], help="full binary tree")
+    p = kinds.add_parser("tree", parents=[gen], help="full binary tree")
     p.set_defaults(make=lambda a, **kw: make_tree(a.rounds, **kw))
-    p = kinds.add_parser("poulidor", parents=[common, gen], help="Poulidor ring")
+    p = kinds.add_parser("poulidor", parents=[gen], help="Poulidor ring")
     p.set_defaults(make=lambda a, **kw: make_poulidor(a.rounds, **kw))
-    p = kinds.add_parser("gentree", parents=[common, gen], help="generalized tree")
+    p = kinds.add_parser("gentree", parents=[gen], help="generalized tree")
     p.add_argument("-m", "--fan", type=int, required=True,
                    help="the root has 2*fan children")
     p.set_defaults(make=lambda a, **kw: make_generalized_tree(a.fan, a.rounds, **kw))
 
-    p = sub.add_parser("mfs", parents=[common], help="most frequent sequence")
+    p = sub.add_parser("mfs", parents=[fmt, limit["max_walks"], limit["max_sequences"]],
+                       help="most frequent sequence")
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--length", type=int, required=True)
@@ -328,25 +338,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     methods = sub.add_parser("df", help="distance-fraud probability").add_subparsers(
         dest="method", required=True)
-    p = methods.add_parser("exact-tree", parents=[common],
+    p = methods.add_parser("exact-tree", parents=[fmt, limit["max_exact_rounds"]],
                            help="exact recursion on the full binary tree")
     size = p.add_mutually_exclusive_group(required=True)
     size.add_argument("-n", "--rounds", type=int)
     size.add_argument("--sweep", type=_parse_range, metavar="LO:HI",
                       help="report a whole range of rounds")
-    p.add_argument("--float", action="store_true", help="floating-point mode")
-    p.add_argument("--force", action="store_true",
-                   help="override the round limit (float mode only)")
+    arithmetic = p.add_mutually_exclusive_group()
+    arithmetic.add_argument("--float", action="store_true", help="floating-point mode")
+    arithmetic.add_argument("--threads", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_df_exact)
-    p = methods.add_parser("brute", parents=[common, on_graph],
+    p = methods.add_parser("brute", parents=[on_graph, limit["max_brute_vertices"]],
                            help="every labeling of the graph")
     p.set_defaults(func=_cmd_df_brute)
-    p = methods.add_parser("mc", parents=[common, on_graph],
+    p = methods.add_parser("mc", parents=[on_graph, seed],
                            help="Monte Carlo over random labelings")
     p.add_argument("--samples", type=int, default=100000)
     p.set_defaults(func=_cmd_df_mc)
 
-    p = sub.add_parser("reduce", parents=[common],
+    p = sub.add_parser("reduce", parents=[limit["max_walks"], limit["max_sequences"]],
                        help="SAT to frequency-gadget reduction")
     p.add_argument("cnf", help="DIMACS CNF file")
     p.add_argument("--out", default=None, help="output graph file")
@@ -354,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check against exhaustive satisfiability")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("simulate", parents=[common, on_graph],
+    p = sub.add_parser("simulate", parents=[on_graph, seed, limit["max_sequences"]],
                        help="run protocol sessions")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--adversary",
@@ -384,8 +394,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: --help, --version or bad arguments
         return exc.code
     try:
-        if args.threads < 1:
-            raise MfskitError(f"--threads: need workers >= 1, got {args.threads}")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -178,22 +178,15 @@ class CdfTable:
         return self.values[x - 1]
 
 
-def check_round_limit(
-    n: int, limits: Limits, *, float_mode: bool = False, force: bool = False
-) -> None:
-    """Refuse n < 1, and n above `limits.max_exact_rounds` unless float mode
-    is forced past it.  The CLI checks a sweep once, with its top round."""
+def check_round_limit(n: int, limits: Limits) -> None:
+    """Refuse n < 1, and n above `limits.max_exact_rounds` in exact and
+    float mode alike.  The CLI checks a sweep once, with its top round."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > limits.max_exact_rounds and not float_mode:
+    if n > limits.max_exact_rounds:
         raise ResourceLimitError(
-            f"exact mode is limited to n <= {limits.max_exact_rounds}; "
-            "use float mode with an explicit override for larger n"
-        )
-    if n > limits.max_exact_rounds and not force:
-        raise ResourceLimitError(
-            f"n = {n} exceeds the configured limit {limits.max_exact_rounds}; "
-            "pass force=True (CLI: --force) to run float mode anyway"
+            f"n = {n} exceeds max_exact_rounds = {limits.max_exact_rounds}; "
+            "raise it with --max-exact-rounds or MFSKIT_MAX_EXACT_ROUNDS"
         )
 
 
@@ -214,15 +207,16 @@ def expected_max_tree(
     binary tree of depth n under uniform random labeling.
 
     Sweeps x = 1 .. 2**n + 1 with an independent pass per threshold, so
-    memory stays at one level table per pass.  With `workers` > 1, worker
-    i sweeps x = 1+i, 1+i+workers, ... in its own process with one binomial
-    table; the stride balances the uneven cost per threshold, and the
-    results interleave back deterministically.
+    memory stays at one level table per pass.  With `workers` > 1, up to
+    one per threshold, worker i sweeps x = 1+i, 1+i+workers, ... in its own
+    process with one binomial table; the stride balances the uneven cost
+    per threshold, and the results interleave back deterministically.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     check_round_limit(n, limits)
     top = 1 << n
+    workers = min(workers, top + 1)
     if workers > 1:
         numerators = [0] * (top + 1)
         tasks = [(n, i, workers) for i in range(workers)]
@@ -257,15 +251,13 @@ def expected_max_tree_float(
     n: int,
     *,
     limits: Limits = DEFAULT_LIMITS,
-    force: bool = False,
 ) -> tuple[float, tuple[float, ...]]:
     """Floating-point variant of expected_max_tree.
 
-    Returns (expectation, cdf values for x = 1..2**n+1).  Requires an
-    explicit override beyond the exact-mode round limit; precision caveat:
-    probabilities below roughly 1e-300 round to zero.
+    Returns (expectation, cdf values for x = 1..2**n+1), under exact mode's
+    round limit.  Probabilities below roughly 1e-300 round to zero.
     """
-    check_round_limit(n, limits, float_mode=True, force=force)
+    check_round_limit(n, limits)
     top = 1 << n
     rows = [_with_sums(_binom_pmf_row(2 * m)) for m in range(top // 2 + 1)]
     # pmf rows carry no powers of two: scaling by 2**e is the identity

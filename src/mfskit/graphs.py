@@ -297,7 +297,7 @@ def graph_from_dict(data: dict) -> LabeledDigraph:
         _require(isinstance(entry, dict), where, "expected an object")
         _require("id" in entry and "label" in entry, where, "needs 'id' and 'label'")
         vid = entry["id"]
-        _require(isinstance(vid, int) and 0 <= vid < n, where,
+        _require(type(vid) is int and 0 <= vid < n, where,
                  f"id {vid!r} is not in 0..{n - 1}")
         _require(vid not in seen, where, f"duplicate id {vid}")
         seen.add(vid)
@@ -316,9 +316,9 @@ def graph_from_dict(data: dict) -> LabeledDigraph:
         _require(isinstance(entry, dict), where, "expected an object")
         _require("from" in entry and "to" in entry, where, "needs 'from' and 'to'")
         src, dst = entry["from"], entry["to"]
-        _require(isinstance(src, int) and 0 <= src < n, where,
+        _require(type(src) is int and 0 <= src < n, where,
                  f"'from' vertex {src!r} is not in 0..{n - 1}")
-        _require(isinstance(dst, int) and 0 <= dst < n, where,
+        _require(type(dst) is int and 0 <= dst < n, where,
                  f"'to' vertex {dst!r} is not in 0..{n - 1}")
         out[src].append(dst)
         if "edge_label" in entry:

@@ -1,10 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from mfskit import ReductionVerdict
-from mfskit.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
+from mfskit.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -108,7 +109,7 @@ def test_df_exact_threads_below_one(capsys, value):
 
 
 @pytest.mark.parametrize("argv", [
-    ["df", "exact-tree", "-n", "3", "--float"],
+    ["df", "exact-tree", "-n", "3"],
     ["df", "mc", "--protocol", "tree", "-n", "2", "--samples", "10"],
     ["df", "brute", "--protocol", "tree", "-n", "2"],
     ["simulate", "--protocol", "tree", "-n", "2", "--trials", "5"],
@@ -116,8 +117,13 @@ def test_df_exact_threads_below_one(capsys, value):
 ])
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_threads_below_one_on_every_command(capsys, argv, value):
+    # only the exact sweep reads --threads; every other command refuses it
     out = run(capsys, argv + ["--threads", value], expect=EXIT_INPUT)
-    assert f"--threads: need workers >= 1, got {value}" in out.err
+    assert out.out == ""
+    if argv[:2] == ["df", "exact-tree"]:
+        assert f"--threads: need workers >= 1, got {value}" in out.err
+    else:
+        assert "unrecognized arguments: --threads" in out.err
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -159,12 +165,75 @@ def test_df_exact_rejects_graph_flags(capsys, flag, value):
     (["simulate", "--graph", str(GOLDEN / "tree_n2.json"), "--protocol", "poulidor",
       "-n", "2"], "--protocol"),
     (["df", "exact-tree", "--sweep", "3:1"], "--sweep"),
+    (["generate", "tree", "-n", "2", "--format", "csv"], "--format"),
+    (["reduce", str(GOLDEN / "reduce_cnf_5v7c.cnf"), "--seed", "2"], "--seed"),
+    (["df", "brute", "--protocol", "tree", "-n", "2", "--threads", "4"], "--threads"),
+    (["generate", "tree", "-n", "2", "--max-walks", "3"], "--max-walks"),
+    (["df", "mc", "--protocol", "tree", "-n", "2", "--max-sequences", "1"],
+     "--max-sequences"),
+    (["mfs", str(GOLDEN / "tree_n2.json"), "--length", "2", "--max-exact-rounds", "3"],
+     "--max-exact-rounds"),
+    (["simulate", "--protocol", "tree", "-n", "2", "--max-brute-vertices", "3"],
+     "--max-brute-vertices"),
+    (["df", "exact-tree", "-n", "2", "--float", "--force"], "--force"),
+    (["generate", "tree", "--labels", "0100110", "-n", "2", "--seed", "5"], "--seed"),
+    (["df", "exact-tree", "-n", "3", "--float", "--threads", "2"], "--threads"),
 ], ids=["brute-sweep", "brute-float", "mc-force", "exact-samples", "exact-start",
-        "exact-n-and-sweep", "tree-fan", "graph-and-protocol", "reversed-sweep"])
+        "exact-n-and-sweep", "tree-fan", "graph-and-protocol", "reversed-sweep",
+        "generate-format", "reduce-seed", "brute-threads", "generate-max-walks",
+        "mc-max-sequences", "mfs-max-exact-rounds", "simulate-max-brute-vertices",
+        "exact-force", "labels-and-seed", "float-and-threads"])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv, flag):
     out = run(capsys, argv, expect=EXIT_INPUT)
     assert out.out == ""
     assert flag in out.err.splitlines()[-1]
+
+
+# each leaf command and its options, named by their first option string
+LEAF_OPTIONS = {
+    ("generate", "tree"): "-n --labels --seed --out",
+    ("generate", "poulidor"): "-n --labels --seed --out",
+    ("generate", "gentree"): "-n --labels --seed --out -m",
+    ("mfs",): "--start --length --mode --format --max-walks --max-sequences",
+    ("df", "exact-tree"): "-n --sweep --float --threads --format --max-exact-rounds",
+    ("df", "brute"): "--graph --protocol --start -n --format --max-walks "
+                     "--max-brute-vertices",
+    ("df", "mc"): "--graph --protocol --start -n --samples --seed --format --max-walks",
+    ("reduce",): "--out --verify --max-walks --max-sequences",
+    ("simulate",): "--graph --protocol --start -n --trials --adversary --key "
+                   "--transcripts --seed --format --max-walks --max-sequences",
+}
+
+
+def _leaves(parser, path=()):
+    subcommands = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    if not subcommands:
+        yield path, parser
+    for choices in subcommands:
+        for name, child in choices.items():
+            yield from _leaves(child, (*path, name))
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    options = {
+        path: {a.option_strings[0] for a in leaf._actions if a.option_strings} - {"-h"}
+        for path, leaf in _leaves(build_parser())
+    }
+    assert options == {path: set(flags.split()) for path, flags in LEAF_OPTIONS.items()}
+    assert sum(map(len, options.values())) == 56
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; no value may leak between parses
+    argv = ["df", "mc", "--protocol", "tree", "-n", "6", "--samples", "4000"]
+    assert build_parser() is build_parser()
+    seeded = run(capsys, [*argv, "--seed", "3"]).out
+    unseeded = run(capsys, argv).out
+    assert seeded == (GOLDEN / "df_mc_tree_n6.json").read_text()
+    build_parser.cache_clear()
+    assert run(capsys, argv).out == unseeded
+    assert json.loads(unseeded)["seed"] == 0
 
 
 @pytest.mark.parametrize("flags", [[], ["--float"]])
@@ -187,21 +256,23 @@ def test_df_sweep_past_the_limit_sweeps_nothing(capsys, monkeypatch, flags):
 
 
 def test_df_exact_refusal_exit_code(capsys):
-    out = run(capsys, ["df", "exact-tree", "-n", "13"], expect=EXIT_RESOURCE)
-    assert "float mode" in out.err
+    refusal = ("error: n = 13 exceeds max_exact_rounds = 12; "
+               "raise it with --max-exact-rounds or MFSKIT_MAX_EXACT_ROUNDS\n")
+    for flags in ([], ["--float"]):
+        out = run(capsys, ["df", "exact-tree", "-n", "13", *flags], expect=EXIT_RESOURCE)
+        assert (out.out, out.err) == ("", refusal)
 
 
-def test_df_float_force_overrides(capsys):
-    argv = ["df", "exact-tree", "-n", "4", "--float", "--max-exact-rounds", "3"]
-    run(capsys, argv, expect=EXIT_RESOURCE)
-    out = run(capsys, argv + ["--force"])
-    report = json.loads(out.out)
+def test_df_float_round_limit_override(capsys):
+    # float mode past the limit takes exact mode's override, the limit itself
+    argv = ["df", "exact-tree", "-n", "4", "--float", "--max-exact-rounds"]
+    out = run(capsys, argv + ["3"], expect=EXIT_RESOURCE)
+    assert out.out == "" and "max_exact_rounds = 3" in out.err
+    report = json.loads(run(capsys, argv + ["4"]).out)
     assert abs(report["success_probability"] - 0.2728901654) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "flags", [[], ["--float", "--force", "--max-exact-rounds", "3"]]
-)
+@pytest.mark.parametrize("flags", [[], ["--float", "--max-exact-rounds", "4"]])
 def test_df_sweep_entries_match_single_rounds(capsys, flags):
     sweep = json.loads(run(capsys, ["df", "exact-tree", "--sweep", "1:4", *flags]).out)
     singles = [
@@ -228,11 +299,16 @@ def test_df_walk_refusal_names_the_count(capsys, method):
 def test_limit_flags_must_be_positive(capsys, tmp_path):
     graph = tmp_path / "g.json"
     run(capsys, ["generate", "tree", "-n", "3", "--out", str(graph)])
-    for flag in ("--max-walks", "--max-sequences", "--max-exact-rounds",
-                 "--max-brute-vertices"):
+    mfs = ["mfs", str(graph), "--length", "4"]
+    for flag, argv in [
+        ("--max-walks", mfs),
+        ("--max-sequences", mfs),
+        ("--max-exact-rounds", ["df", "exact-tree", "-n", "2"]),
+        ("--max-brute-vertices", ["df", "brute", "--protocol", "tree", "-n", "2"]),
+    ]:
         for value in ("0", "-1"):
-            out = run(capsys, ["mfs", str(graph), "--length", "4", flag, value],
-                      expect=EXIT_INPUT)
+            out = run(capsys, [*argv, flag, value], expect=EXIT_INPUT)
+            assert out.out == ""
             assert f"{flag} must be a positive integer, got {value}" in out.err
 
 

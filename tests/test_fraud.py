@@ -253,13 +253,39 @@ def test_split_sweep_matches_oracle_in_workers():
     assert cdf == tuple(DyadicProbability(v, fraud._level_exponent(6)) for v in want)
 
 
+def test_split_sweep_starts_no_more_workers_than_thresholds(monkeypatch):
+    # n = 1 has 3 thresholds: 8 workers would leave 5 with nothing to sweep
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(fraud, "ProcessPoolExecutor", SerialPool)
+    for n, workers in [(1, 8), (2, 8), (2, 3)]:
+        assert expected_max_tree(n, workers=workers) == expected_max_tree(n)
+    assert started == [3, 5, 3]
+
+
 def test_exact_mode_refuses_large_rounds():
+    # one round rule for both arithmetics, lifted only by raising the limit
     small = Limits(max_exact_rounds=3)
-    with pytest.raises(ResourceLimitError, match="float mode"):
-        expected_max_tree(4, limits=small)
-    with pytest.raises(ResourceLimitError, match="force"):
-        expected_max_tree_float(4, limits=small)
-    approx, _ = expected_max_tree_float(4, limits=small, force=True)
+    refusal = ("n = 4 exceeds max_exact_rounds = 3; "
+               "raise it with --max-exact-rounds or MFSKIT_MAX_EXACT_ROUNDS")
+    for engine in (expected_max_tree, expected_max_tree_float):
+        with pytest.raises(ResourceLimitError) as info:
+            engine(4, limits=small)
+        assert str(info.value) == refusal
+    approx, _ = expected_max_tree_float(4, limits=Limits(max_exact_rounds=4))
     assert abs(approx - float(expected_max_tree(4).expected_max)) < 1e-12
 
 

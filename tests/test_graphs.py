@@ -119,6 +119,30 @@ def test_vertex_id_out_of_range_rejected():
         graph_from_dict(data)
 
 
+@pytest.mark.parametrize("vertex, edge, message", [
+    ({"id": False}, None, r"vertices\[0\]: id False is not in 0..1"),
+    ({"id": True}, None, r"vertices\[0\]: id True is not in 0..1"),
+    ({}, {"from": False, "to": 1}, r"edges\[0\]: 'from' vertex False is not in 0..1"),
+    ({}, {"from": 0, "to": True}, r"edges\[0\]: 'to' vertex True is not in 0..1"),
+], ids=["id-false", "id-true", "from-false", "to-true"])
+def test_json_booleans_are_not_vertex_ids(tmp_path, capsys, vertex, edge, message):
+    # bool is a subclass of int; a JSON true or false is still not an id
+    from mfskit.cli import EXIT_INPUT, main
+
+    data = {
+        "alphabet": ["0", "1"],
+        "vertices": [{"id": 0, "label": "0", **vertex}, {"id": 1, "label": "1"}],
+        "edges": [edge] if edge else [],
+    }
+    with pytest.raises(GraphFormatError, match=message):
+        graph_from_dict(data)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    assert main(["mfs", str(path), "--length", "2"]) == EXIT_INPUT
+    out = capsys.readouterr()
+    assert out.out == "" and message.replace("\\", "") in out.err
+
+
 def test_missing_top_level_key_rejected():
     with pytest.raises(GraphFormatError, match="missing required key 'edges'"):
         graph_from_dict({"alphabet": ["0"], "vertices": []})

@@ -8,7 +8,6 @@ with empirical verification; and a round-by-round protocol simulator.
 """
 
 from .cnf import CnfFormula, brute_force_sat, parse_dimacs, satisfies
-from .dyadic import DyadicProbability
 from .errors import (
     DEFAULT_LIMITS,
     DimacsError,
@@ -24,6 +23,7 @@ from .errors import (
 from .fraud import (
     CdfTable,
     DistanceFraudReport,
+    DyadicProbability,
     TreeExpectation,
     base_case_prob,
     brute_force_expected_max,

@@ -130,7 +130,7 @@ def _parse_labels(raw: str) -> tuple[str, ...]:
 
 
 def _cmd_generate(args) -> int:
-    labels = _parse_labels(args.labels) if args.labels else None
+    labels = None if args.labels is None else _parse_labels(args.labels)
     graph = args.make(args, labeling=labels, seed=args.seed)
     _write_or_print(args, graph_json_text(graph))
     return EXIT_OK

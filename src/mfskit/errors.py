@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class MfskitError(Exception):
@@ -68,14 +68,10 @@ class Limits:
 
     @classmethod
     def from_env(cls) -> "Limits":
-        return cls(
-            max_walks=_env_int("MFSKIT_MAX_WALKS", cls.max_walks),
-            max_sequences=_env_int("MFSKIT_MAX_SEQUENCES", cls.max_sequences),
-            max_exact_rounds=_env_int("MFSKIT_MAX_EXACT_ROUNDS", cls.max_exact_rounds),
-            max_brute_vertices=_env_int(
-                "MFSKIT_MAX_BRUTE_VERTICES", cls.max_brute_vertices
-            ),
-        )
+        return cls(**{
+            f.name: _env_int(f"MFSKIT_{f.name.upper()}", f.default)
+            for f in fields(cls)
+        })
 
 
 DEFAULT_LIMITS = Limits()

@@ -25,19 +25,22 @@ the binomial row; the products of two factors that are not one number
 All such probabilities are dyadic.  Internally a value at level n with
 parameter m is stored as an integer numerator over 2**(c_n * m) where
 c_1 = 2 and c_n = 2*c_{n-1} + 2; that exponent is linear in m, which makes
-the recursion pure integer arithmetic with no normalization.  Float mode
-runs the same sweep on the pmf rows C(k, i) / 2**k, where the powers of
-two are already divided out and probability one is 1.0.
+the recursion pure integer arithmetic with no normalization.  Exact results
+leave as `DyadicProbability`, that numerator and exponent in lowest terms;
+callers do arithmetic on them through `as_fraction()`.  Float mode runs
+the same sweep on the pmf rows C(k, i) / 2**k, where the powers of two are
+already divided out and probability one is 1.0.
 
 Two exact facts prune the state space: M(m, n) >= m always, so the
 probability is 0 when x <= m; and M(m, n) <= m * 2**n with equality on the
 all-equal labeling, so the probability is 1 when x exceeds that.
 
 Brute force and Monte Carlo work on any graph.  They list the walks of
-n+1 vertices once, and `_occurrence_scorer` keys each labeling with one
-gather over that list (`walks.walk_keys`, shared with the early-reply
-sessions of `protocol`) and counts the keys with one `Counter`, so each
-labeling is scored with a few C-level calls and no Python loop over walks.
+n+1 vertices once, refusing a start vertex that has none, and
+`_occurrence_scorer` keys each labeling with one gather over that list
+(`walks.walk_keys`, shared with the early-reply sessions of `protocol`)
+and counts the keys with one `Counter`, so each labeling is scored with a
+few C-level calls and no Python loop over walks.
 """
 
 from __future__ import annotations
@@ -51,10 +54,32 @@ from math import comb, sqrt
 from itertools import accumulate
 from operator import lshift, mul
 
-from .dyadic import DyadicProbability
-from .errors import DEFAULT_LIMITS, Limits, MfskitError, ResourceLimitError
+from .errors import DEFAULT_LIMITS, GraphError, Limits, MfskitError, ResourceLimitError
 from .graphs import LabeledDigraph
 from .walks import check_walk_limit, count_walks, walk_keys, walks_from
+
+
+@dataclass(frozen=True)
+class DyadicProbability:
+    """A probability numerator / 2**log2_denominator in lowest terms: the
+    numerator is odd, or zero over 2**0.  The value lies in [0, 1];
+    arithmetic goes through `as_fraction()`."""
+
+    numerator: int
+    log2_denominator: int = 0
+
+    def __post_init__(self):
+        num, exp = self.numerator, self.log2_denominator
+        if num < 0 or exp < 0:
+            raise ValueError("negative numerator or exponent")
+        shift = min((num & -num).bit_length() - 1, exp) if num else exp
+        if num >> shift > 1 << (exp - shift):
+            raise ValueError(f"{num}/2^{exp} is larger than 1")
+        object.__setattr__(self, "numerator", num >> shift)
+        object.__setattr__(self, "log2_denominator", exp - shift)
+
+    def as_fraction(self) -> Fraction:
+        return Fraction(self.numerator, 1 << self.log2_denominator)
 
 
 def _binom_rows(mmax: int):
@@ -275,7 +300,10 @@ def _full_walks(g: LabeledDigraph, start: int, n: int, limits: Limits):
     g.check_vertex(start)
     if n < 1:
         raise ValueError("need n >= 1 rounds")
-    check_walk_limit(count_walks(g, start, n + 1), n + 1, limits)
+    count = count_walks(g, start, n + 1)
+    if not count:
+        raise GraphError(f"no walk of {n + 1} vertices starts at vertex {start}")
+    check_walk_limit(count, n + 1, limits)
     return walks_from(g, start, n + 1)
 
 
@@ -286,8 +314,6 @@ def _occurrence_scorer(walks, nv: int):
     one format call and one `walk_keys` call, with the counting left to
     `Counter`.
     """
-    if not walks:
-        return lambda bits: 0
     keys = walk_keys(walks)
     top = 1 << nv
 

@@ -112,10 +112,10 @@ def test_depth_one_table_matches_enumeration():
             expected = Fraction(sum(c for v, c in dist.items() if v < x), total)
             assert base_case_prob(m, x).as_fraction() == expected, (m, x)
     # corrected boundary conditions, explicitly
-    assert base_case_prob(0, 1) == DyadicProbability.one()
+    assert base_case_prob(0, 1) == DyadicProbability(1)
     for m in range(1, 7):
         for x in range(1, m + 1):
-            assert base_case_prob(m, x) == DyadicProbability.zero()
+            assert base_case_prob(m, x) == DyadicProbability(0)
     _pass("depth-1 probability table matches enumeration for m <= 6")
 
 
@@ -193,10 +193,11 @@ def test_performance_envelope():
 def test_cdf_properties_and_complementary_labeling():
     for n in range(1, 9):
         cdf = expected_max_tree(n).cdf
-        assert cdf.prob_below(1) == DyadicProbability.zero()
-        assert cdf.prob_below(2**n + 1) == DyadicProbability.one()
+        assert cdf.prob_below(1) == DyadicProbability(0)
+        assert cdf.prob_below(2**n + 1) == DyadicProbability(1)
         assert all(
-            cdf.values[i] <= cdf.values[i + 1] for i in range(len(cdf.values) - 1)
+            cdf.values[i].as_fraction() <= cdf.values[i + 1].as_fraction()
+            for i in range(len(cdf.values) - 1)
         )
     for depth in range(1, 9):
         g = complementary_sibling_labeling(make_tree(depth), seed=depth)

@@ -43,6 +43,20 @@ def test_generate_gentree_degenerate(capsys):
     assert len(data["vertices"]) == 1 and data["edges"] == []
 
 
+def test_generate_empty_labels_refused(capsys):
+    out = run(capsys, ["generate", "tree", "-n", "1", "--labels", ""], expect=EXIT_INPUT)
+    assert out.out == ""
+    assert out.err == "error: explicit labeling has 0 entries for 3 vertices\n"
+
+
+def test_start_without_full_walk_refused(capsys):
+    # vertex 1 sits one level above the leaves: no walk of 3 vertices
+    out = run(capsys, ["df", "mc", "--graph", str(GOLDEN / "tree_n2.json"), "-n", "2",
+                       "--start", "1", "--samples", "10"], expect=EXIT_INPUT)
+    assert out.out == ""
+    assert out.err == "error: no walk of 3 vertices starts at vertex 1\n"
+
+
 def test_mfs_pipeline_matches_golden(capsys, tmp_path):
     graph = tmp_path / "g.json"
     run(capsys, ["generate", "tree", "-n", "2", "--labels", "0100110",

@@ -8,6 +8,7 @@ import pytest
 
 from mfskit import (
     DyadicProbability,
+    GraphError,
     Limits,
     MfskitError,
     ResourceLimitError,
@@ -57,15 +58,15 @@ def cdf_from_distribution(dist: Counter, x: int) -> Fraction:
 
 
 def test_base_case_examples():
-    assert base_case_prob(0, 3) == DyadicProbability.one()
+    assert base_case_prob(0, 3) == DyadicProbability(1)
     assert base_case_prob(1, 2) == DyadicProbability(1, 1)  # 1/2
-    assert base_case_prob(2, 5) == DyadicProbability.one()
-    assert base_case_prob(2, 2) == DyadicProbability.zero()
+    assert base_case_prob(2, 5) == DyadicProbability(1)
+    assert base_case_prob(2, 2) == DyadicProbability(0)
 
 
 def test_base_case_priority_of_empty_fan():
     # an empty fan realizes nothing, so its maximum 0 is below any threshold
-    assert base_case_prob(0, 1) == DyadicProbability.one()
+    assert base_case_prob(0, 1) == DyadicProbability(1)
 
 
 def test_base_case_matches_enumeration():
@@ -94,8 +95,8 @@ def test_recursion_consistent_with_base_case():
 
 
 def test_recursion_trivial_thresholds():
-    assert recursive_prob(1, 2, 5) == DyadicProbability.one()
-    assert recursive_prob(1, 2, 1) == DyadicProbability.zero()
+    assert recursive_prob(1, 2, 5) == DyadicProbability(1)
+    assert recursive_prob(1, 2, 1) == DyadicProbability(0)
 
 
 def test_recursion_depth_two_value():
@@ -144,10 +145,11 @@ def test_cdf_table_shape_and_endpoints():
     for n in (1, 2, 3, 4):
         cdf = expected_max_tree(n).cdf
         assert len(cdf.values) == 2**n + 1
-        assert cdf.prob_below(1) == DyadicProbability.zero()
-        assert cdf.prob_below(2**n + 1) == DyadicProbability.one()
+        assert cdf.prob_below(1) == DyadicProbability(0)
+        assert cdf.prob_below(2**n + 1) == DyadicProbability(1)
         assert all(
-            cdf.values[i] <= cdf.values[i + 1] for i in range(len(cdf.values) - 1)
+            cdf.values[i].as_fraction() <= cdf.values[i + 1].as_fraction()
+            for i in range(len(cdf.values) - 1)
         )
         with pytest.raises(ValueError):
             cdf.prob_below(0)
@@ -183,7 +185,7 @@ def test_float_mode_tracks_exact():
             exact.expected_max
         )
         for a, b in zip(cdf, exact.cdf.values):
-            assert type(a) is float and abs(a - float(b)) <= 1e-12
+            assert type(a) is float and abs(a - float(b.as_fraction())) <= 1e-12
 
 
 def level_sweep_oracle(m_top, n, x):
@@ -329,8 +331,14 @@ def test_scorer_matches_oracle_on_random_graphs():
         n = rng.randint(1, 5)
         nv = g.vertex_count
         labelings = [0, (1 << nv) - 1] + [rng.getrandbits(nv) for _ in range(20)]
+        if not walks_from(g, start, n + 1):
+            want = f"^no walk of {n + 1} vertices starts at vertex {start}$"
+            with pytest.raises(GraphError, match=want):
+                brute_force_expected_max(g, start, n)
+            walk_counts[0] += 1
+            continue
         walk_counts[min(assert_scorer_matches_oracle(g, start, n, labelings), 2)] += 1
-    # dead ends (no full walk, score 0), a single walk, and more
+    # dead ends (no full walk, refused), a single walk, and more
     assert walk_counts[0] and walk_counts[1] and walk_counts[2]
 
 

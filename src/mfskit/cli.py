@@ -139,9 +139,7 @@ def _cmd_generate(args) -> int:
 def _cmd_mfs(args) -> int:
     limits = _limits_from_args(args)
     g = read_graph(args.graph)
-    result = most_frequent_sequence(
-        g, args.start, args.length, mode=args.mode, limits=limits
-    )
+    result = most_frequent_sequence(g, args.start, args.length, limits=limits)
     _emit(
         args,
         {
@@ -150,7 +148,6 @@ def _cmd_mfs(args) -> int:
             "tie_count": result.tie_count,
             "length": args.length,
             "start": args.start,
-            "mode": args.mode,
         },
     )
     return EXIT_OK
@@ -333,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--mode", choices=("auto", "seq", "walk"), default="auto")
     p.set_defaults(func=_cmd_mfs)
 
     methods = sub.add_parser("df", help="distance-fraud probability").add_subparsers(

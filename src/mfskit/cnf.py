@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimacsError
+from .errors import DimacsError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,8 @@ class CnfFormula:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF: 'c' comment lines, a 'p cnf <vars> <clauses>'
-    header, then 0-terminated clauses (which may span lines)."""
+    header, then 0-terminated clauses (which may span lines), up to the end
+    or to a line '%', which closes the SATLIB benchmark files."""
     header: tuple[int, int] | None = None
     clauses: list[list[int]] = []
     current: list[int] = []
@@ -75,6 +76,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line == "%":
+            break
         if line.startswith("p"):
             if header is not None:
                 raise DimacsError(f"line {lineno}: duplicate header")
@@ -136,6 +139,7 @@ def satisfies(f: CnfFormula, assignment: Sequence[bool]) -> bool:
     return True
 
 
+MAX_VARIABLES = 24  # the most variables brute_force_sat searches
 # Variables covered by one bitset of assignments in brute_force_sat; a
 # 2^16-bit bitset takes 8 KiB.
 _BLOCK_VARIABLES = 16
@@ -156,10 +160,9 @@ def _variable_mask(j: int, block: int) -> int:
     return mask & ((1 << (1 << block)) - 1)
 
 
-def brute_force_sat(
-    f: CnfFormula, *, max_variables: int = 24
-) -> tuple[bool, ...] | None:
-    """Exhaustive satisfiability check; returns a witness or None.
+def brute_force_sat(f: CnfFormula) -> tuple[bool, ...] | None:
+    """Exhaustive satisfiability check; returns a witness or None.  Refuses
+    formulas over MAX_VARIABLES variables with ResourceLimitError.
 
     The witness is the smallest satisfying assignment in binary counting
     order (variable 1 is the least significant bit).
@@ -175,9 +178,9 @@ def brute_force_sat(
     variable (about 1 MiB for 140 clauses at n = 24).
     """
     n = f.variable_count
-    if n > max_variables:
-        raise ValueError(
-            f"{n} variables exceed the exhaustive-search cap {max_variables}"
+    if n > MAX_VARIABLES:
+        raise ResourceLimitError(
+            f"{n} variables exceed the exhaustive-search cap {MAX_VARIABLES}"
         )
     block = min(n, _BLOCK_VARIABLES)
     full = (1 << (1 << block)) - 1

@@ -31,10 +31,10 @@ trial once.
 The labeler hook relabels the structure it is given, `config.graph`.
 Early-reply sessions take their replies from the config's session plan,
 which lists that structure's walks once, so a session costs one gather
-over the list.  The plan makes the solver's own refusal first
-(`walks.check_search_limit`), so labelings for which the solver would
-check candidate sequences rather than walks stay on the plan too.  When a
-hook returns a graph with other out-edges, or symbols that are not single
+over the list.  The plan makes the solver's one refusal first
+(`walks.check_search_limit`), so labelings with fewer candidate sequences
+than walks stay on the plan too, and are refused alike.  When a hook
+returns a graph with other out-edges, or symbols that are not single
 ASCII characters, that session's replies come from
 `most_frequent_sequence` on the returned graph: same replies, same
 refusals, only slower.
@@ -177,6 +177,9 @@ class ProtocolConfig:
             raise ValueError("need at least one trial")
         if self.timing == "all-pass":
             flags = (True,) * self.rounds
+        elif isinstance(self.timing, str):
+            raise ValueError(f"timing must be 'all-pass' or one flag per round, "
+                             f"not {self.timing!r}")
         else:
             flags = tuple(bool(b) for b in self.timing)
         if len(flags) != self.rounds:
@@ -231,7 +234,7 @@ class _SessionPlan:
         if not self.fits(labeled):
             mfs = most_frequent_sequence(labeled, self.start, self.k, limits=limits)
             return mfs.sequence[1:]
-        check_search_limit("auto", self.walks, len(labeled.alphabet), self.k, limits)
+        check_search_limit(self.walks, len(labeled.alphabet), self.k, limits)
         if self.keys is None:
             # no full-length walk: every sequence has zero occurrences
             return (min(labeled.alphabet),) * (self.k - 1)

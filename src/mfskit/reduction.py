@@ -228,13 +228,14 @@ def verify_reduction(
     clause_count times iff the formula is satisfiable, never more, and
     that a maximizer's suffix decodes to a satisfying assignment.  A caller
     that already holds `reduce_sat_to_mfs(f)` passes it as `reduction`, so
-    the gadget is not built twice.
+    the gadget is not built twice.  The exhaustive oracle runs first, so a
+    formula over its cap is refused before the MFS solve.
     """
+    witness = brute_force_sat(f)
     r = reduce_sat_to_mfs(f) if reduction is None else reduction
     mfs = most_frequent_sequence(
         r.graph, 0, r.params.target_length, limits=limits
     )
-    witness = brute_force_sat(f)
     m = f.clause_count
     problems = []
     if mfs.count > m:

@@ -103,17 +103,12 @@ def check_walk_limit(total: int, k: int, limits: Limits) -> None:
         )
 
 
-def check_search_limit(
-    mode: str, walks: int | None, symbols: int, k: int, limits: Limits
-) -> None:
-    """The refusal `most_frequent_sequence` makes before its search:
-    "walk" checks the `walks` of k vertices against max_walks, "seq" checks
-    the symbols**k candidate sequences against max_sequences, and "auto"
-    checks whichever of the two numbers is smaller (the walks on a tie)."""
+def check_search_limit(walks: int, symbols: int, k: int, limits: Limits) -> None:
+    """The one refusal of the prefix search: of the `walks` of k vertices
+    and the symbols**k candidate sequences, the smaller (the walks on a
+    tie) is checked against its limit, max_walks or max_sequences."""
     candidates = symbols ** k
-    if mode == "auto":
-        mode = "walk" if walks <= candidates else "seq"
-    if mode == "walk":
+    if walks <= candidates:
         check_walk_limit(walks, k, limits)
     elif candidates > limits.max_sequences:
         raise ResourceLimitError(
@@ -127,7 +122,7 @@ def check_search_limit(
 _SLOT_CAP = 256
 
 
-def _sequence_counts(g: LabeledDigraph, start: int, k: int, walks: int | None):
+def _sequence_counts(g: LabeledDigraph, start: int, k: int, walks: int):
     """Yield (prefix, slots) for every realized prefix of length k - L, in
     ascending lexicographic order; slot s holds the occurrences of the
     prefix followed by the s-th suffix of `product(sorted(alphabet),
@@ -144,8 +139,7 @@ def _sequence_counts(g: LabeledDigraph, start: int, k: int, walks: int | None):
     costs one big-integer sum, sum of c_v * V(v), and one unpack.
 
     `walks`, the number of walks of k vertices, bounds every slot and so
-    sets the slot width; None bounds it by the widest vertex to the power
-    k - 1.
+    sets the slot width.
     """
     labels, out_edges = g.labels, g.out_edges
     symbols = sorted(g.alphabet)
@@ -157,8 +151,6 @@ def _sequence_counts(g: LabeledDigraph, start: int, k: int, walks: int | None):
     reach = [{start}]
     for _ in range(k - 2):
         reach.append({w for v in reach[-1] for w in out_edges[v]})
-    if walks is None:
-        walks = max(map(len, out_edges)) ** (k - 1)
     width = 1  # bytes per slot
     while walks >> 8 * width:
         width *= 2
@@ -205,11 +197,10 @@ def enumerate_walk_sequences(
     """Multiset of label sequences realized by walks of k vertices.
 
     The multiplicity of t equals occ_count(g, start, t); sequences realized
-    by no walk are absent.  Refuses when the exact walk count exceeds the
-    configured limit.
+    by no walk are absent.  Refuses as `most_frequent_sequence` does.
     """
     walks = count_walks(g, start, k)
-    check_walk_limit(walks, k, limits)
+    check_search_limit(walks, len(g.alphabet), k, limits)
     symbols = sorted(g.alphabet)
     found = Counter()
     for prefix, slots in _sequence_counts(g, start, k, walks):
@@ -262,23 +253,19 @@ def most_frequent_sequence(
     start: int,
     k: int,
     *,
-    mode: str = "auto",
     limits: Limits = DEFAULT_LIMITS,
 ) -> MfsResult:
     """Most frequent length-k label sequence over walks from `start`.
 
     Ties break to the lexicographically smallest maximizer and the number
-    of maximizers is reported.  There is one search, over realized label
-    prefixes; `mode` only picks the limit `check_search_limit` checks
-    before it.
+    of maximizers is reported.  The search runs over realized label
+    prefixes, after the refusal of `check_search_limit`.
     """
     g.check_vertex(start)
     if k < 1:
         raise GraphError("sequence length must be >= 1")
-    if mode not in ("auto", "walk", "seq"):
-        raise ValueError(f"unknown mode {mode!r}")
-    walks = count_walks(g, start, k) if mode != "seq" else None
-    check_search_limit(mode, walks, len(g.alphabet), k, limits)
+    walks = count_walks(g, start, k)
+    check_search_limit(walks, len(g.alphabet), k, limits)
     best, best_count, tie_count = None, 0, 0
     # prefixes and slots arrive in ascending order: the first maximizer is
     # the smallest

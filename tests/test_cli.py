@@ -192,11 +192,12 @@ def test_df_exact_rejects_graph_flags(capsys, flag, value):
     (["df", "exact-tree", "-n", "2", "--float", "--force"], "--force"),
     (["generate", "tree", "--labels", "0100110", "-n", "2", "--seed", "5"], "--seed"),
     (["df", "exact-tree", "-n", "3", "--float", "--threads", "2"], "--threads"),
+    (["mfs", str(GOLDEN / "tree_n2.json"), "--length", "3", "--mode", "walk"], "--mode"),
 ], ids=["brute-sweep", "brute-float", "mc-force", "exact-samples", "exact-start",
         "exact-n-and-sweep", "tree-fan", "graph-and-protocol", "reversed-sweep",
         "generate-format", "reduce-seed", "brute-threads", "generate-max-walks",
         "mc-max-sequences", "mfs-max-exact-rounds", "simulate-max-brute-vertices",
-        "exact-force", "labels-and-seed", "float-and-threads"])
+        "exact-force", "labels-and-seed", "float-and-threads", "mfs-mode"])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv, flag):
     out = run(capsys, argv, expect=EXIT_INPUT)
     assert out.out == ""
@@ -208,7 +209,7 @@ LEAF_OPTIONS = {
     ("generate", "tree"): "-n --labels --seed --out",
     ("generate", "poulidor"): "-n --labels --seed --out",
     ("generate", "gentree"): "-n --labels --seed --out -m",
-    ("mfs",): "--start --length --mode --format --max-walks --max-sequences",
+    ("mfs",): "--start --length --format --max-walks --max-sequences",
     ("df", "exact-tree"): "-n --sweep --float --threads --format --max-exact-rounds",
     ("df", "brute"): "--graph --protocol --start -n --format --max-walks "
                      "--max-brute-vertices",
@@ -235,7 +236,7 @@ def test_each_command_takes_only_the_flags_it_reads():
         for path, leaf in _leaves(build_parser())
     }
     assert options == {path: set(flags.split()) for path, flags in LEAF_OPTIONS.items()}
-    assert sum(map(len, options.values())) == 56
+    assert sum(map(len, options.values())) == 55
 
 
 def test_one_parser_serves_every_call(capsys):
@@ -299,8 +300,8 @@ def test_df_sweep_entries_match_single_rounds(capsys, flags):
 def test_mfs_resource_refusal(capsys, tmp_path):
     graph = tmp_path / "g.json"
     run(capsys, ["generate", "tree", "-n", "3", "--out", str(graph)])
-    run(capsys, ["mfs", str(graph), "--length", "4", "--mode", "walk",
-                 "--max-walks", "4"], expect=EXIT_RESOURCE)
+    run(capsys, ["mfs", str(graph), "--length", "4", "--max-walks", "4"],
+        expect=EXIT_RESOURCE)
 
 
 @pytest.mark.parametrize("method", ["brute", "mc"])
@@ -344,6 +345,19 @@ def test_reduce_verify_example(capsys, tmp_path):
     data = json.loads(graph_file.read_text())
     assert data["roles"]["0"] == "root"
     assert data["params"]["target_length"] == 6
+
+
+def test_reduce_verify_refuses_past_the_sat_oracle_cap(capsys, tmp_path, monkeypatch):
+    from mfskit import reduction
+
+    solves = []
+    monkeypatch.setattr(reduction, "most_frequent_sequence",
+                        lambda *a, **kw: solves.append(a))
+    cnf = tmp_path / "v25.cnf"
+    cnf.write_text("p cnf 25 1\n1 2 3 0\n")
+    out = run(capsys, ["reduce", str(cnf), "--verify"], expect=EXIT_RESOURCE)
+    assert out.err == "error: 25 variables exceed the exhaustive-search cap 24\n"
+    assert solves == []
 
 
 def test_reduce_unsat_consistent(capsys, tmp_path):

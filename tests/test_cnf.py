@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from mfskit import CnfFormula, DimacsError, brute_force_sat, parse_dimacs, satisfies
+from mfskit import (
+    CnfFormula,
+    DimacsError,
+    ResourceLimitError,
+    brute_force_sat,
+    parse_dimacs,
+    satisfies,
+)
 
 EXAMPLE = """c running example
 p cnf 3 3
@@ -68,6 +75,14 @@ def test_bad_token_reports_line():
         parse_dimacs("p cnf 2 2\n1 0\nx 0\n")
 
 
+def test_satlib_end_marker_ends_the_clauses():
+    # SATLIB benchmark files (uf20-91 and others) close with '%' and '0'
+    text = "c uf-style\np cnf 3  2 \n 1 -2 3 0\n-1 2 0\n%\n0\n\n"
+    assert parse_dimacs(text) == CnfFormula(3, ((1, -2, 3), (-1, 2)))
+    with pytest.raises(DimacsError, match="declares 3 clauses but 2"):
+        parse_dimacs(text.replace("p cnf 3  2", "p cnf 3 3"))
+
+
 def test_to_dimacs_round_trip(example_formula):
     assert parse_dimacs(example_formula.to_dimacs()) == example_formula
 
@@ -99,7 +114,7 @@ def test_brute_force_unsat_with_padding_variable():
 def test_brute_force_variable_cap():
     for n in (25, 30):
         cap = f"{n} variables exceed the exhaustive-search cap 24"
-        with pytest.raises(ValueError, match=cap):
+        with pytest.raises(ResourceLimitError, match=cap):
             brute_force_sat(CnfFormula(n, ((1, 2),)))
 
 

@@ -164,6 +164,13 @@ def test_timing_is_stored_as_one_flag_per_round():
     assert config.timing == (True, False, True)
 
 
+@pytest.mark.parametrize("timing", ["000", "111", "", "all"])
+def test_timing_strings_other_than_all_pass_are_refused(timing):
+    # each character is a non-empty string, so "000" would read as all True
+    with pytest.raises(ValueError, match=f"not {timing!r}"):
+        ProtocolConfig(graph=make_tree(3), start=0, rounds=3, timing=timing)
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_config_needs_a_trial(trials):
     with pytest.raises(ValueError, match="need at least one trial"):

@@ -145,7 +145,7 @@ def test_labelings_outside_the_plan_use_the_solver(monkeypatch, labeler):
 # -- labelings for which the solver checks candidate sequences ---------
 
 def _one_symbol(structure, key, verifier_nonce, prover_nonce):
-    # auto mode checks the single candidate sequence, not the walks
+    # the refusal checks the single candidate sequence, not the walks
     labeled = label_graph_from_prf(structure, key, verifier_nonce, prover_nonce)
     return LabeledDigraph(("0",), ("0",) * structure.vertex_count,
                           structure.out_edges, labeled.edge_labels)
@@ -153,7 +153,7 @@ def _one_symbol(structure, key, verifier_nonce, prover_nonce):
 
 # every vertex has three out-edges; challenges steer along the first two
 # (edge labels that a graph file could not hold), and the third adds the
-# walks that make auto mode check the 2**k binary candidate sequences
+# walks that make the refusal check the 2**k binary candidate sequences
 WIDE = LabeledDigraph._unchecked(
     ("0", "1"), ("0",) * 4, ((1, 2, 3),) * 4, (("0", "1", "1"),) * 4, None
 )
@@ -175,7 +175,7 @@ def test_seq_mode_labelings_stay_on_the_plan(monkeypatch, graph, rounds, labeler
                             seed=2, labeler=labeler)
     for labeled, replies in _transcript_replies(config, 60):
         walks = count_walks(labeled, 0, rounds + 1)
-        assert walks > len(labeled.alphabet) ** (rounds + 1)  # auto picks seq
+        assert walks > len(labeled.alphabet) ** (rounds + 1)  # the candidates are checked
         assert config.session_plan.fits(labeled)
         assert replies == _oracle(labeled, 0, rounds)
     estimate_success_rate(config, early_reply())

@@ -14,6 +14,7 @@ from mfskit import (
     complementary_sibling_labeling,
     count_walks,
     enumerate_walk_sequences,
+    make_generalized_tree,
     make_poulidor,
     make_tree,
     most_frequent_sequence,
@@ -132,18 +133,6 @@ def test_unique_walk_path_graph():
     assert result.tie_count == 1
 
 
-def test_modes_agree_everywhere():
-    rng = random.Random(2024)
-    for alphabet in ALPHABETS:
-        for _ in range(80):
-            g = random_binary_graph(rng, alphabet=alphabet)
-            start = rng.randrange(g.vertex_count)
-            k = rng.randint(1, 6)
-            walk = most_frequent_sequence(g, start, k, mode="walk")
-            seq = most_frequent_sequence(g, start, k, mode="seq")
-            assert walk == seq
-
-
 def test_mfs_count_is_maximal():
     rng = random.Random(77)
     for alphabet in ALPHABETS:
@@ -179,25 +168,64 @@ def test_auto_mode_counts_walks_once(monkeypatch):
 def test_no_full_length_walks():
     # 2-vertex path: no walk of 4 vertices exists, every sequence occurs 0 times
     g = LabeledDigraph(("0", "1"), ("0", "1"), ((1,), ()))
-    for mode in ("walk", "seq"):
-        result = most_frequent_sequence(g, 0, 4, mode=mode)
-        assert result.count == 0
-        assert result.sequence_str == "0000"
-        assert result.tie_count == 16
+    result = most_frequent_sequence(g, 0, 4)
+    assert result.count == 0
+    assert result.sequence_str == "0000"
+    assert result.tie_count == 16
+
+
+def _one_symbol(g):
+    return LabeledDigraph(("0",), ("0",) * g.vertex_count, g.out_edges)
 
 
 def test_mfs_walk_limit(example_tree):
     with pytest.raises(ResourceLimitError, match="8 walks of 4 vertices"):
-        most_frequent_sequence(example_tree, 0, 4, mode="walk",
-                               limits=Limits(max_walks=7))
-    assert most_frequent_sequence(example_tree, 0, 4, mode="seq",
-                                  limits=Limits(max_walks=7)).count == 3
+        most_frequent_sequence(example_tree, 0, 4, limits=Limits(max_walks=7))
+    # one candidate sequence is fewer than the 8 walks: only it is checked
+    assert most_frequent_sequence(_one_symbol(example_tree), 0, 4,
+                                  limits=Limits(max_walks=7)).count == 8
 
 
 def test_mfs_sequence_limit():
-    g = make_tree(2, seed=0)
-    with pytest.raises(ResourceLimitError, match="candidate sequences"):
-        most_frequent_sequence(g, 0, 3, mode="seq", limits=Limits(max_sequences=4))
+    # 12 walks of 3 vertices, 8 candidate sequences
+    g = make_generalized_tree(3, 2, seed=0)
+    assert count_walks(g, 0, 3) == 12
+    with pytest.raises(ResourceLimitError,
+                       match=r"^2\^3 candidate sequences exceed the limit 4$"):
+        most_frequent_sequence(g, 0, 3, limits=Limits(max_sequences=4))
+
+
+def _refusal(call):
+    try:
+        call()
+    except ResourceLimitError as exc:
+        return str(exc)
+    return None
+
+
+def test_enumeration_and_solver_refuse_alike(example_tree):
+    rng = random.Random(616)
+    cases = [(_one_symbol(example_tree), 0, 4, Limits(max_walks=7))]
+    for alphabet in ALPHABETS:
+        for _ in range(60):
+            g = random_binary_graph(rng, alphabet=alphabet)
+            limits = Limits(max_walks=rng.randint(1, 8),
+                            max_sequences=rng.randint(1, 30))
+            cases.append((g, rng.randrange(g.vertex_count), rng.randint(1, 6), limits))
+    # a root of 2m children: more walks than binary candidates once m > 2
+    for m, n in product((2, 3, 4), (1, 2, 3)):
+        g = make_generalized_tree(m, n, seed=m * n)
+        for k in range(1, n + 2):
+            limits = Limits(max_walks=rng.randint(1, 20),
+                            max_sequences=rng.randint(1, 20))
+            cases.append((g, 0, k, limits))
+    refused = set()
+    for g, start, k, limits in cases:
+        want = _refusal(lambda: most_frequent_sequence(g, start, k, limits=limits))
+        assert _refusal(lambda: enumerate_walk_sequences(g, start, k,
+                                                         limits=limits)) == want
+        refused.add(want and want.split()[1])
+    assert refused == {None, "walks", "candidate"}
 
 
 def test_mfs_rejects_bad_length(example_tree):
@@ -285,9 +313,8 @@ def test_packed_tail_matches_plain_prefix_search():
         else:
             seen.add("no full walk")
             expected = ((min(g.alphabet),) * k, 0, len(g.alphabet) ** k)
-        for mode in ("auto", "walk", "seq"):
-            result = most_frequent_sequence(g, start, k, mode=mode, limits=limits)
-            assert (result.sequence, result.count, result.tie_count) == expected
+        result = most_frequent_sequence(g, start, k, limits=limits)
+        assert (result.sequence, result.count, result.tie_count) == expected
         seen.add("tie" if expected[2] > 1 else "unique")
         if len(g.alphabet) == 1:
             seen.add("one symbol")

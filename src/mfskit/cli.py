@@ -215,10 +215,11 @@ def _cmd_reduce(args) -> int:
         "tree_depth": r.params.tree_depth,
         "target_length": r.params.target_length,
     }
-    _write_or_print(args, graph_json_text(r.graph, {"roles": roles, "params": params}))
-    if args.verify:
+    if args.verify:  # before any output, so a refused check leaves none
         verdict = verify_reduction(formula, limits=limits, reduction=r)
         walks = check_maximal_walks(r, limits=limits)
+    _write_or_print(args, graph_json_text(r.graph, {"roles": roles, "params": params}))
+    if args.verify:
         summary = {
             "equivalence_ok": verdict.ok,
             "walk_lengths_ok": walks.ok,

@@ -14,13 +14,22 @@ every caller: the fan tree (`recursive_prob`, `base_case_prob`), the full
 binary tree behind `expected_max_tree`, and float mode.  The arithmetic
 is a parameter of the sweep.
 
+The full binary tree needs no sweep above x = 2**(n-1).  The occurrence
+count of one sequence is generation n of the critical Galton-Watson
+process Z with Bin(2, 1/2) offspring, and the 2**n walks leave room for
+at most one sequence past 2**(n-1), so there Pr(M >= x) =
+2**n * Pr(Z_n >= x) exactly (`_one_sequence_tail`).  Exact mode sweeps
+x = 1 .. 2**(n-1) and reads the rest from the pmf of Z_n.
+
 The paper's O(2**(2n) * n) bound counts recursion states (x, level, m).
 Here each state is a convolution of up to m pair terms, so the pair terms
-of a full sweep of the depth-n tree grow as Theta(8**n): 5,623, 42,279,
-327,239, 2,573,831 and 20,414,599 for n = 6 .. 10.  Most of them multiply
-by probability one, which the sweep replaces by shifts and prefix sums of
-the binomial row; the products of two factors that are not one number
-381, 3,394, 28,450, 232,573 and 1,879,733.
+of a sweep of the depth-n tree grow as Theta(8**n): over x <= 2**(n-1)
+they number 2,823, 21,991, 173,319, 1,375,751 and 10,962,311 for
+n = 6 .. 10 (every x: 5,623, 42,279, 327,239, 2,573,831 and 20,414,599).
+Most of them multiply by probability one, which the sweep replaces by
+shifts and prefix sums of the binomial row; the products of two factors
+that are not one number 381, 3,394, 28,450, 232,573 and 1,879,733, all
+at x <= 2**(n-1).
 
 All such probabilities are dyadic.  Internally a value at level n with
 parameter m is stored as an integer numerator over 2**(c_n * m) where
@@ -177,17 +186,50 @@ def recursive_prob(m: int, n: int, x: int) -> DyadicProbability:
     """Exact Pr(M(m, n) < x) for the fan tree with 2m root children."""
     if m < 0 or n < 1 or x < 1:
         raise ValueError("need m >= 0, n >= 1 and x >= 1")
-    rows = _binom_rows(m << (n - 1))
+    rows = _binom_rows(min(m << (n - 1), x - 1))  # all the sweep reads
     numer = _level_sweep(m, n, x, rows, lshift)
     return DyadicProbability(numer, _level_exponent(n) * m)
 
 
 def _sweep_stride(args: tuple[int, int, int]) -> list[int]:
-    # thresholds x = 1 + first, 1 + first + step, ..., one table per call
+    # thresholds x = 1 + first, 1 + first + step, ... <= 2**(n-1), one table
+    # per call; its rows 0 .. 2**(n-1) - 1 are all those sweeps read
     n, first, step = args
-    rows = _binom_rows(1 << (n - 1))
-    xs = range(1 + first, (1 << n) + 2, step)
+    half = 1 << (n - 1)
+    rows = _binom_rows(half - 1)
+    xs = range(1 + first, half + 1, step)
     return [_level_sweep(1, n, x, rows, lshift) for x in xs]
+
+
+def _one_sequence_pmf(n: int) -> list[int]:
+    """Pr(Z_n = k) numerators over 2**_level_exponent(n) for k = 0 .. 2**n.
+
+    The pgf numerators of Z_n (module docstring) are
+    P_l = (2**c_{l-1} + P_{l-1})**2 over 2**c_l from P_0 = s, each square
+    one big-integer product by Kronecker substitution: byte-aligned slots
+    wide enough that no carry crosses one, packed and unpacked as bytes.
+    """
+    poly = [0, 1]
+    for level in range(1, n + 1):
+        poly[0] += 1 << _level_exponent(level - 1)
+        width = (2 * max(poly).bit_length() + len(poly).bit_length() + 7) // 8
+        slots = b"".join(c.to_bytes(width, "little") for c in poly)
+        square = int.from_bytes(slots, "little") ** 2
+        raw = square.to_bytes(width * (2 * len(poly) - 1), "little")
+        poly = [int.from_bytes(raw[i : i + width], "little")
+                for i in range(0, len(raw), width)]
+    return poly
+
+
+def _one_sequence_tail(n: int) -> list[int]:
+    """Pr(M(1, n) < x) numerators over 2**_level_exponent(n) for
+    x = 2**(n-1) + 1 .. 2**n + 1, as 1 - 2**n * Pr(Z_n >= x): past 2**(n-1)
+    at most one sequence can reach x (see the module docstring)."""
+    pmf = _one_sequence_pmf(n)
+    # suffix sums of the pmf, from x = 2**n + 1 down to 2**(n-1) + 1
+    tails = accumulate(reversed(pmf[(1 << (n - 1)) + 1 :]), initial=0)
+    whole = 1 << _level_exponent(n)
+    return [whole - (t << n) for t in tails][::-1]
 
 
 @dataclass(frozen=True)
@@ -231,25 +273,28 @@ def expected_max_tree(
     """Exact expectation of the maximum occurrence count for the full
     binary tree of depth n under uniform random labeling.
 
-    Sweeps x = 1 .. 2**n + 1 with an independent pass per threshold, so
-    memory stays at one level table per pass.  With `workers` > 1, up to
-    one per threshold, worker i sweeps x = 1+i, 1+i+workers, ... in its own
-    process with one binomial table; the stride balances the uneven cost
-    per threshold, and the results interleave back deterministically.
+    Sweeps x = 1 .. 2**(n-1) with an independent pass per threshold, so
+    memory stays at one level table per pass, and fills x > 2**(n-1) from
+    the one-sequence law (`_one_sequence_tail`).  With `workers` > 1, up to
+    one per swept threshold, worker i sweeps x = 1+i, 1+i+workers, ... in
+    its own process with one binomial table; the stride balances the
+    uneven cost per threshold, and the results interleave back
+    deterministically.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     check_round_limit(n, limits)
     top = 1 << n
-    workers = min(workers, top + 1)
+    workers = min(workers, top >> 1)
     if workers > 1:
-        numerators = [0] * (top + 1)
+        numerators = [0] * (top >> 1)
         tasks = [(n, i, workers) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, part in enumerate(pool.map(_sweep_stride, tasks)):
                 numerators[i::workers] = part
     else:
         numerators = _sweep_stride((n, 0, 1))
+    numerators += _one_sequence_tail(n)
     d = _level_exponent(n)
     # E[M] = sum_{x=1}^{2^n} Pr(M >= x)
     shortfall = sum(numerators[:top])

@@ -360,6 +360,23 @@ def test_reduce_verify_refuses_past_the_sat_oracle_cap(capsys, tmp_path, monkeyp
     assert solves == []
 
 
+def test_refused_reduce_verify_writes_nothing(capsys, tmp_path):
+    # the checks run before the gadget is written: no file and no stdout
+    cnf = tmp_path / "v25.cnf"
+    cnf.write_text("p cnf 25 1\n1 2 3 0\n")
+    refusal = "error: 25 variables exceed the exhaustive-search cap 24\n"
+    gadget = tmp_path / "g.json"
+    out = run(capsys, ["reduce", str(cnf), "--verify", "--out", str(gadget)],
+              expect=EXIT_RESOURCE)
+    assert (out.out, out.err) == ("", refusal)
+    assert not gadget.exists()
+    out = run(capsys, ["reduce", str(cnf), "--verify"], expect=EXIT_RESOURCE)
+    assert (out.out, out.err) == ("", refusal)
+    # without --verify nothing is refused and the gadget is written
+    run(capsys, ["reduce", str(cnf), "--out", str(gadget)])
+    assert gadget.exists()
+
+
 def test_reduce_unsat_consistent(capsys, tmp_path):
     cnf = tmp_path / "u.cnf"
     cnf.write_text("p cnf 2 2\n1 0\n-1 0\n")

@@ -247,17 +247,19 @@ def test_split_sweep_matches_oracle_on_fan_trees(m_top):
 
 
 def test_split_sweep_matches_oracle_in_workers():
-    # 3 workers take the 65 thresholds of n = 6 in strides of 22, 22 and 21
+    # 3 workers take the 32 swept thresholds of n = 6 in strides of 11, 11
+    # and 10; the one-sequence law fills the other 33
     want = [level_sweep_oracle(1, 6, x) for x in range(1, 66)]
     for i in range(3):
-        assert fraud._sweep_stride((6, i, 3)) == want[i::3]
+        assert fraud._sweep_stride((6, i, 3)) == want[:32][i::3]
     cdf = expected_max_tree(6, workers=3).cdf.values
     assert cdf == tuple(DyadicProbability(v, fraud._level_exponent(6)) for v in want)
 
 
 def test_split_sweep_starts_no_more_workers_than_thresholds(monkeypatch):
-    # n = 1 has 3 thresholds: 8 workers would leave 5 with nothing to sweep
-    started = []
+    # n = 1 sweeps 1 threshold and n = 2 sweeps 2: 8 workers would leave
+    # most with nothing to sweep
+    started, parts = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -270,12 +272,78 @@ def test_split_sweep_starts_no_more_workers_than_thresholds(monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            return map(fn, tasks)
+            for part in map(fn, tasks):
+                parts.append(len(part))
+                yield part
 
     monkeypatch.setattr(fraud, "ProcessPoolExecutor", SerialPool)
-    for n, workers in [(1, 8), (2, 8), (2, 3)]:
+    for n, workers in [(1, 8), (2, 8), (2, 3), (3, 8), (4, 3)]:
         assert expected_max_tree(n, workers=workers) == expected_max_tree(n)
-    assert started == [3, 5, 3]
+    assert started == [2, 2, 4, 3]
+    assert parts == [1, 1, 1, 1, 1, 1, 1, 1, 3, 3, 2]  # no worker without one
+
+
+# -- the one-sequence law -------------------------------------------------------
+
+
+def galton_watson_oracle(n):
+    """Pr(Z_n = k) for k = 0 .. 2**n: each of the j individuals of
+    generation l-1 has Bin(2, 1/2) children, so Z_l ~ Bin(2j, 1/2)."""
+    dist = {1: Fraction(1)}
+    for _ in range(n):
+        nxt = Counter()
+        for j, p in dist.items():
+            for k in range(2 * j + 1):
+                nxt[k] += p * Fraction(comb(2 * j, k), 1 << (2 * j))
+        dist = nxt
+    return [dist[k] for k in range(2**n + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_one_sequence_pmf_is_critical(n):
+    pmf = fraud._one_sequence_pmf(n)
+    whole = 1 << fraud._level_exponent(n)
+    assert len(pmf) == 2**n + 1
+    assert sum(pmf) == whole  # a distribution
+    assert sum(k * p for k, p in enumerate(pmf)) == whole  # E[Z_n] = 1
+    if n <= 5:
+        assert [Fraction(p, whole) for p in pmf] == galton_watson_oracle(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_sequence_tail_equals_the_sweep(n):
+    half = 1 << (n - 1)
+    rows = fraud._binom_rows(half)  # the rows the sweep of x <= 2**n + 1 reads
+    tail = fraud._one_sequence_tail(n)
+    assert len(tail) == half + 1
+    for x in range(half + 1, 2 * half + 2):
+        assert tail[x - half - 1] == fraud._level_sweep(1, n, x, rows, lshift), x
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_expected_max_tree_cdf_matches_oracle(workers):
+    for n in range(1, 7):
+        d = fraud._level_exponent(n)
+        cdf = expected_max_tree(n, workers=workers).cdf.values
+        want = [level_sweep_oracle(1, n, x) for x in range(1, 2**n + 2)]
+        assert cdf == tuple(DyadicProbability(v, d) for v in want), n
+
+
+def test_fan_tree_table_stops_at_the_threshold(monkeypatch):
+    # the sweep reads rows below x only: Pr(M(1, 11) < 3) needs 3 of 1,025
+    built, build = [], fraud._binom_rows
+
+    def recording(mmax):
+        built.append(mmax)
+        return build(mmax)
+
+    monkeypatch.setattr(fraud, "_binom_rows", recording)
+    recursive_prob(1, 11, 3)
+    for m, n, x in [(2, 3, 100), (3, 2, 6), (0, 1, 1), (1, 8, 100)]:
+        full = fraud._level_sweep(m, n, x, build(m << (n - 1)), lshift)
+        d = fraud._level_exponent(n) * m
+        assert recursive_prob(m, n, x) == DyadicProbability(full, d), (m, n, x)
+    assert built == [2, 8, 5, 0, 99]
 
 
 def test_exact_mode_refuses_large_rounds():

@@ -11,10 +11,12 @@ Exit codes: 0 success, 2 invalid input, 3 resource-limit refusal,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -118,6 +120,28 @@ def _write_or_print(args, text: str) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+@contextlib.contextmanager
+def _written_on_success(path: str):
+    """A text file that becomes `path` only if the block completes: it is
+    written beside `path` and removed on failure, so a refused run leaves
+    no file and a file already at `path` untouched.  A path that exists
+    but is no regular file, such as /dev/stdout or a pipe, is written
+    directly: it cannot be replaced."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _parse_labels(raw: str) -> tuple[str, ...]:
@@ -265,7 +289,7 @@ def _cmd_simulate(args) -> int:
     if args.transcripts:
         # each trial is played once: its transcript also carries the decision
         accepted = 0
-        with open(args.transcripts, "w", encoding="utf-8") as fh:
+        with _written_on_success(args.transcripts) as fh:
             for t in range(config.trials):
                 transcript = run_session(config, strategy, trial_index=t, limits=limits)
                 accepted += transcript.accepted

@@ -33,7 +33,7 @@ from typing import Sequence
 from .cnf import CnfFormula, brute_force_sat, satisfies
 from .errors import DEFAULT_LIMITS, Limits, ReductionError, ResourceLimitError
 from .graphs import LabeledDigraph
-from .walks import frontier_step, most_frequent_sequence
+from .walks import _frontiers, most_frequent_sequence
 
 
 def _tree_depth(m: int) -> int:
@@ -150,9 +150,9 @@ class WalkLengthVerdict:
 def check_maximal_walks(
     r: ReductionOutput, *, limits: Limits = DEFAULT_LIMITS
 ) -> WalkLengthVerdict:
-    """Verify every maximal walk from the root either spans the full
-    target (ending at the last backbone pair) or stops one position short
-    at a lane dead end, and that at least one full walk exists."""
+    """Verify every maximal walk from the root either spans the full target
+    (ending at the last backbone pair) or stops one position short at a lane
+    dead end, and that a full walk exists; longer walks (cycles) offend."""
     g = r.graph
     n, depth = r.params.variable_count, r.params.tree_depth
     full_len = n + depth  # edges
@@ -160,10 +160,9 @@ def check_maximal_walks(
     full = dead = 0
     offenders: list[str] = []
     # walks of `length` edges from the root, counted per end vertex
-    counts, length = {0: 1}, 0
-    while counts:
+    for length, counts in enumerate(_frontiers(g, 0, full_len + 2)):
         for v, c in counts.items():
-            if g.out_edges[v]:
+            if g.out_edges[v] and length <= full_len:
                 continue
             seen = full + dead + len(offenders) + c
             if seen > limits.max_walks:
@@ -172,13 +171,14 @@ def check_maximal_walks(
                     f"{limits.max_walks}: at least {seen} maximal walks"
                 )
             role = r.roles[v]
-            if length == full_len and role in tail:
+            if length > full_len:
+                offenders += [f"walk of more than {full_len} edges reaches {role}"] * c
+            elif length == full_len and role in tail:
                 full += c
             elif length == full_len - 1 and role not in tail:
                 dead += c
             else:
                 offenders += [f"walk of {length} edges ends at {role}"] * c
-        counts, length = frontier_step(g.out_edges, counts), length + 1
     ok = not offenders and full > 0
     if full == 0:
         offenders.append("no full-length walk reaches the backbone tail")

@@ -7,7 +7,9 @@ end vertex one edge further, optionally split by the label reached.  Walk
 and occurrence counts, the prefix search behind the walk-sequence
 multiset and the MFS solver, the greedy adversary and the reduction's
 maximal-walk check all advance through it instead of enumerating walks
-one by one.
+one by one.  The label-blind levels are one pass, `_frontiers`: its last
+level sums to `count_walks`, the prefix search takes its walk count and
+reach sets from it, and the maximal-walk check stops one past full length.
 
 The prefix search stops L symbols short of full length and reads the last
 L symbols from packed integers: one per vertex, with one fixed-width slot
@@ -19,7 +21,7 @@ MFS solver takes the largest slot, its first index and its ties in C.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import islice, product
 from operator import itemgetter
@@ -68,15 +70,20 @@ def frontier_step(out_edges, counts: dict, labels=None) -> dict:
     return split
 
 
-def count_walks(g: LabeledDigraph, start: int, k: int) -> int:
-    """Number of walks of k vertices from `start`, ignoring labels."""
+def _frontiers(g: LabeledDigraph, start: int, k: int):
+    """Yield {end vertex: walks of d + 1 vertices} for depths d = 0 .. k-1."""
     g.check_vertex(start)
     if k < 1:
         raise GraphError("walk length must be >= 1")
     counts = {start: 1}
+    yield counts
     for _ in range(k - 1):
-        counts = frontier_step(g.out_edges, counts)
-    return sum(counts.values())
+        yield (counts := frontier_step(g.out_edges, counts))
+
+
+def count_walks(g: LabeledDigraph, start: int, k: int) -> int:
+    """Number of walks of k vertices from `start`, ignoring labels."""
+    return sum(deque(_frontiers(g, start, k), maxlen=1).pop().values())
 
 
 def occ_count(g: LabeledDigraph, start: int, t: str | Sequence[str]) -> int:
@@ -122,7 +129,7 @@ def check_search_limit(walks: int, symbols: int, k: int, limits: Limits) -> None
 _SLOT_CAP = 256
 
 
-def _sequence_counts(g: LabeledDigraph, start: int, k: int, walks: int):
+def _sequence_counts(g: LabeledDigraph, start: int, k: int, limits: Limits):
     """Yield (prefix, slots) for every realized prefix of length k - L, in
     ascending lexicographic order; slot s holds the occurrences of the
     prefix followed by the s-th suffix of `product(sorted(alphabet),
@@ -138,8 +145,8 @@ def _sequence_counts(g: LabeledDigraph, start: int, k: int, walks: int):
     suffix s, first suffix symbol most significant.  A stopping prefix then
     costs one big-integer sum, sum of c_v * V(v), and one unpack.
 
-    `walks`, the number of walks of k vertices, bounds every slot and so
-    sets the slot width.
+    The last L + 1 levels of `_frontiers` give the walk count (refused by
+    `check_search_limit`; it sets the slot width) and the vertices to pack.
     """
     labels, out_edges = g.labels, g.out_edges
     symbols = sorted(g.alphabet)
@@ -147,10 +154,9 @@ def _sequence_counts(g: LabeledDigraph, start: int, k: int, walks: int):
     tail = 0
     while tail < k - 1 and size ** (tail + 1) <= _SLOT_CAP:
         tail += 1
-    # the vertices some walk from `start` ends at, at depths 0..k-2
-    reach = [{start}]
-    for _ in range(k - 2):
-        reach.append({w for v in reach[-1] for w in out_edges[v]})
+    levels = deque(_frontiers(g, start, k), maxlen=tail + 1)
+    walks = sum(levels.pop().values())
+    check_search_limit(walks, size, k, limits)
     width = 1  # bytes per slot
     while walks >> 8 * width:
         width *= 2
@@ -173,7 +179,7 @@ def _sequence_counts(g: LabeledDigraph, start: int, k: int, walks: int):
         shift = {sym: block * i for i, sym in enumerate(symbols)}
         get = packed.__getitem__
         packed = {v: sum(map(get, out_edges[v])) << shift[labels[v]]
-                  for v in reach[k - 1 - r]}
+                  for v in levels.pop()}  # depth k - 1 - r
     stop = k - tail
     stack = [((labels[start],), {start: 1})]
     while stack:
@@ -199,11 +205,9 @@ def enumerate_walk_sequences(
     The multiplicity of t equals occ_count(g, start, t); sequences realized
     by no walk are absent.  Refuses as `most_frequent_sequence` does.
     """
-    walks = count_walks(g, start, k)
-    check_search_limit(walks, len(g.alphabet), k, limits)
     symbols = sorted(g.alphabet)
     found = Counter()
-    for prefix, slots in _sequence_counts(g, start, k, walks):
+    for prefix, slots in _sequence_counts(g, start, k, limits):
         suffixes = product(symbols, repeat=k - len(prefix))
         for suffix, occ in zip(suffixes, slots):
             if occ:
@@ -261,15 +265,10 @@ def most_frequent_sequence(
     of maximizers is reported.  The search runs over realized label
     prefixes, after the refusal of `check_search_limit`.
     """
-    g.check_vertex(start)
-    if k < 1:
-        raise GraphError("sequence length must be >= 1")
-    walks = count_walks(g, start, k)
-    check_search_limit(walks, len(g.alphabet), k, limits)
     best, best_count, tie_count = None, 0, 0
     # prefixes and slots arrive in ascending order: the first maximizer is
     # the smallest
-    for prefix, slots in _sequence_counts(g, start, k, walks):
+    for prefix, slots in _sequence_counts(g, start, k, limits):
         top = max(slots)
         if top > best_count:
             best, best_count = (prefix, slots.index(top)), top

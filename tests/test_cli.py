@@ -1,10 +1,12 @@
 import argparse
 import json
+import os
+import threading
 from pathlib import Path
 
 import pytest
 
-from mfskit import ReductionVerdict
+from mfskit import LabeledDigraph, ReductionVerdict, read_graph, write_graph
 from mfskit.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -22,6 +24,9 @@ def run(capsys, argv, expect=EXIT_OK):
 def test_generate_matches_golden(capsys, tmp_path):
     out = run(capsys, ["generate", "tree", "-n", "2", "--labels", "0100110"])
     assert out.out == (GOLDEN / "tree_n2.json").read_text()
+    # the comma-separated form reads the same labels
+    comma = run(capsys, ["generate", "tree", "-n", "2", "--labels", "0, 1,0,0,1,1,0"])
+    assert comma.out == out.out
 
 
 def test_generate_gentree_matches_golden(capsys, tmp_path):
@@ -193,11 +198,13 @@ def test_df_exact_rejects_graph_flags(capsys, flag, value):
     (["generate", "tree", "--labels", "0100110", "-n", "2", "--seed", "5"], "--seed"),
     (["df", "exact-tree", "-n", "3", "--float", "--threads", "2"], "--threads"),
     (["mfs", str(GOLDEN / "tree_n2.json"), "--length", "3", "--mode", "walk"], "--mode"),
+    (["df", "exact-tree", "--sweep", "3"], "--sweep: expected LO:HI, got '3'"),
 ], ids=["brute-sweep", "brute-float", "mc-force", "exact-samples", "exact-start",
         "exact-n-and-sweep", "tree-fan", "graph-and-protocol", "reversed-sweep",
         "generate-format", "reduce-seed", "brute-threads", "generate-max-walks",
         "mc-max-sequences", "mfs-max-exact-rounds", "simulate-max-brute-vertices",
-        "exact-force", "labels-and-seed", "float-and-threads", "mfs-mode"])
+        "exact-force", "labels-and-seed", "float-and-threads", "mfs-mode",
+        "sweep-without-colon"])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv, flag):
     out = run(capsys, argv, expect=EXIT_INPUT)
     assert out.out == ""
@@ -445,10 +452,57 @@ def test_simulate_honest(capsys):
 
 
 def test_simulate_matches_golden(capsys):
-    out = run(capsys, ["simulate", "--protocol", "tree", "-n", "2",
-                       "--trials", "500", "--adversary", "early-reply",
-                       "--seed", "9"])
+    argv = ["-n", "2", "--trials", "500", "--adversary", "early-reply", "--seed", "9"]
+    out = run(capsys, ["simulate", "--protocol", "tree", *argv])
     assert out.out == (GOLDEN / "simulate_tree_n2.json").read_text()
+    # the same tree read from its file passes the binary-instance check
+    out = run(capsys, ["simulate", "--graph", str(GOLDEN / "tree_n2.json"), *argv])
+    assert out.out == (GOLDEN / "simulate_tree_n2.json").read_text()
+
+
+def test_simulate_graph_must_be_binary(capsys, tmp_path):
+    tree = read_graph(GOLDEN / "tree_n2.json")
+    path = tmp_path / "ab.json"
+    labels = tuple({"0": "a", "1": "b"}[lab] for lab in tree.labels)
+    write_graph(LabeledDigraph(("a", "b"), labels, tree.out_edges), path)
+    out = run(capsys, ["simulate", "--graph", str(path), "-n", "2"], expect=EXIT_INPUT)
+    assert (out.out, out.err) == ("", "error: alphabet ['a', 'b'] is not ['0', '1']\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--protocol", "tree", "-n", "4", "--trials", "50", "--max-walks", "4"],
+     EXIT_RESOURCE, "16 walks of 5 vertices exceed the limit 4"),
+    # the reduction gadget dead-ends after 11 sessions
+    (["--graph", str(GOLDEN / "reduce_cnf_5v7c.json"), "-n", "8"], EXIT_INPUT,
+     "no out-edge labeled '1' at vertex 68; the configured graph dead-ends "
+     "before the last round"),
+], ids=["walk-limit", "dead-end"])
+def test_refused_simulate_writes_no_transcripts(capsys, tmp_path, argv, code, err):
+    path = tmp_path / "t.jsonl"
+    argv = ["simulate", *argv, "--adversary", "early-reply", "--transcripts", str(path)]
+    out = run(capsys, argv, expect=code)
+    assert (out.out, out.err) == ("", f"error: {err}\n")
+    assert list(tmp_path.iterdir()) == []
+    # a file already at the path stays as it was, and no temporary is left
+    path.write_text("kept\n")
+    run(capsys, argv, expect=code)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "kept\n"
+
+
+def test_simulate_transcripts_to_a_pipe(capsys, tmp_path):
+    # a pipe cannot be replaced by a finished file: it is written directly
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    argv = ["simulate", "--protocol", "tree", "-n", "6", "--trials", "20",
+            "--adversary", "early-reply", "--seed", "5"]
+    run(capsys, argv + ["--transcripts", str(pipe)])
+    reader.join(timeout=30)
+    assert got == [(GOLDEN / "simulate_tree_n6_transcripts.jsonl").read_text()]
+    assert list(tmp_path.iterdir()) == [pipe]
 
 
 def test_simulate_multi_block_transcripts_match_golden(capsys, tmp_path):
@@ -534,6 +588,10 @@ def test_simulate_needs_a_graph(capsys):
 def test_text_format(capsys):
     out = run(capsys, ["df", "exact-tree", "-n", "1", "--format", "text"])
     assert "success_probability" in out.out and "{" not in out.out
+    # a sweep renders its list as one report after the other
+    sweep = run(capsys, ["df", "exact-tree", "--sweep", "1:2", "--format", "text"]).out
+    assert sweep.startswith(out.out)
+    assert sweep.count("method: exact-dp\n") == 2 and "[" not in sweep
 
 
 def _strict_json(text: str):

@@ -10,12 +10,15 @@ from mfskit import (
     Limits,
     ReductionError,
     ReductionOutput,
+    ReductionParams,
     ResourceLimitError,
+    WalkLengthVerdict,
     brute_force_sat,
     build_leaf_tree,
     check_maximal_walks,
     enumerate_walk_sequences,
     extract_assignment,
+    make_poulidor,
     most_frequent_sequence,
     reduce_sat_to_mfs,
     satisfies,
@@ -259,6 +262,26 @@ def test_maximal_walk_refusal_names_the_limit(example_formula):
     # one dead end of 4 edges, then 19 full walks, 8 of them to one end
     assert sum(maximal_walk_ends(r).values()) == 20
     for limit, seen in [(19, 20), (3, 9), (1, 9)]:
+        with pytest.raises(ResourceLimitError) as info:
+            check_maximal_walks(r, limits=Limits(max_walks=limit))
+        assert str(info.value) == ("maximal-walk enumeration exceeds limit "
+                                   f"max_walks={limit}: at least {seen} maximal walks")
+
+
+def test_maximal_walks_on_a_cycle_are_bounded():
+    # no walk on a Poulidor ring ever ends: the check stops one edge past
+    # the full length of 2 edges and names the 8 walks still going there
+    ring = make_poulidor(3, seed=0)
+    r = ReductionOutput(ring, tuple(f"p_{v}" for v in range(6)),
+                        ReductionParams(2, 1, 0, 3))
+    verdict = check_maximal_walks(r)
+    over = "walk of more than 2 edges reaches p_{}".format
+    assert verdict == WalkLengthVerdict(
+        False, 0, 0,
+        (over(3), *[over(4)] * 3, *[over(5)] * 3, over(0),
+         "no full-length walk reaches the backbone tail"))
+    assert check_maximal_walks(r, limits=Limits(max_walks=8)) == verdict
+    for limit, seen in [(7, 8), (3, 4)]:
         with pytest.raises(ResourceLimitError) as info:
             check_maximal_walks(r, limits=Limits(max_walks=limit))
         assert str(info.value) == ("maximal-walk enumeration exceeds limit "

@@ -150,19 +150,22 @@ def test_mfs_count_is_maximal():
             assert result.sequence == min(maximizers)
 
 
-def test_auto_mode_counts_walks_once(monkeypatch):
-    calls = []
-    counted = walks.count_walks
-    monkeypatch.setattr(walks, "count_walks", lambda *a: calls.append(a) or counted(*a))
+def test_search_walks_forward_once(monkeypatch):
+    passes, counts = [], []
+    frontiers, counted = walks._frontiers, walks.count_walks
+    monkeypatch.setattr(walks, "_frontiers", lambda *a: passes.append(a) or frontiers(*a))
+    monkeypatch.setattr(walks, "count_walks", lambda *a: counts.append(a) or counted(*a))
     rng = random.Random(31)
     for alphabet in ALPHABETS:
         for _ in range(20):
             g = random_binary_graph(rng, alphabet=alphabet)
             start = rng.randrange(g.vertex_count)
             k = rng.randint(1, 8)
-            calls.clear()
-            most_frequent_sequence(g, start, k)
-            assert calls == [(g, start, k)]
+            for search in (most_frequent_sequence, enumerate_walk_sequences):
+                passes.clear()
+                search(g, start, k)
+                assert passes == [(g, start, k)]
+                assert counts == []
 
 
 def test_no_full_length_walks():
@@ -229,8 +232,10 @@ def test_enumeration_and_solver_refuse_alike(example_tree):
 
 
 def test_mfs_rejects_bad_length(example_tree):
-    with pytest.raises(GraphError):
-        most_frequent_sequence(example_tree, 0, 0)
+    # the forward pass checks the length once for the counter and both searches
+    for call in (most_frequent_sequence, enumerate_walk_sequences, count_walks):
+        with pytest.raises(GraphError, match=r"^walk length must be >= 1$"):
+            call(example_tree, 0, 0)
 
 
 # -- packed-slot tail against the plain prefix search ---------------------------

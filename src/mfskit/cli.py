@@ -4,8 +4,8 @@ Subcommands: generate, mfs, df, reduce, simulate.  Output is JSON by
 default (text and csv renderings where they make sense); every command is
 deterministic given its flags and --seed.
 
-Exit codes: 0 success, 2 invalid input, 3 resource-limit refusal,
-4 verification failure.
+Exit codes: 0 success, 2 invalid input, 3 resource-limit refusal, out
+of memory or a failed worker process, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import fields, replace
 
 from . import __version__
@@ -418,6 +419,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
+    except BrokenExecutor as exc:
+        print(f"error: worker process failed: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (MfskitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

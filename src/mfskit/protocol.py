@@ -28,16 +28,18 @@ transcript and the rate estimator reads only its decision, so both agree
 on every trial and raise the same errors; a transcript export plays each
 trial once.
 
+The honest prover answers with the verifier's own walk; every other
+reply, fixed, early or greedy, is chosen in one place, `_replies_for`.
 The labeler hook relabels the structure it is given, `config.graph`.
-Early-reply sessions take their replies from the config's session plan,
-which lists that structure's walks once, so a session costs one gather
-over the list.  The plan makes the solver's one refusal first
-(`walks.check_search_limit`), so labelings with fewer candidate sequences
-than walks stay on the plan too, and are refused alike.  When a hook
-returns a graph with other out-edges, or symbols that are not single
-ASCII characters, that session's replies come from
-`most_frequent_sequence` on the returned graph: same replies, same
-refusals, only slower.
+Early replies come only from the config's session plan, which lists that
+structure's walks once, so a session costs one gather over the list.  The
+plan makes the solver's one refusal first (`walks.check_search_limit`),
+so labelings with fewer candidate sequences than walks stay on the plan
+too, and are refused alike.  When no walk list was kept (no full-length
+walk, or too many walks), or a hook returns a graph with other out-edges
+or symbols that are not single ASCII characters, that session's replies
+come from `most_frequent_sequence` on the returned graph: same replies,
+same refusals, only slower.
 """
 
 from __future__ import annotations
@@ -146,9 +148,7 @@ def honest() -> AdversaryStrategy:
 
 
 def early_reply(replies: Sequence[str] | str | None = None) -> AdversaryStrategy:
-    return AdversaryStrategy(
-        "early-reply", tuple(replies) if replies is not None else None
-    )
+    return AdversaryStrategy("early-reply", replies)
 
 
 def greedy_early_reply() -> AdversaryStrategy:
@@ -205,10 +205,10 @@ class _SessionPlan:
     """The walks of k vertices from `start` in one structure: their count
     and their `walk_keys` gather.
 
-    A labeled graph fits when it keeps the structure's out-edges and its
-    symbols are one ASCII character each.  Its replies are then the
-    smallest most frequent key, after the refusal that
-    `most_frequent_sequence` would make at the same point.
+    A labeled graph fits when a walk list was kept, the graph keeps the
+    structure's out-edges and its symbols are one ASCII character each.
+    Its replies are then the smallest most frequent key, after the refusal
+    that `most_frequent_sequence` would make at the same point.
     """
 
     def __init__(self, structure: LabeledDigraph, start: int, k: int):
@@ -220,7 +220,7 @@ class _SessionPlan:
         self.alphabet = None  # the last alphabet found to fit
 
     def fits(self, labeled: LabeledDigraph) -> bool:
-        if self.walks > _PLAN_MAX_WALKS or labeled.out_edges != self.out_edges:
+        if self.keys is None or labeled.out_edges != self.out_edges:
             return False
         alphabet = labeled.alphabet
         if alphabet is not self.alphabet:
@@ -235,9 +235,6 @@ class _SessionPlan:
             mfs = most_frequent_sequence(labeled, self.start, self.k, limits=limits)
             return mfs.sequence[1:]
         check_search_limit(self.walks, len(labeled.alphabet), self.k, limits)
-        if self.keys is None:
-            # no full-length walk: every sequence has zero occurrences
-            return (min(labeled.alphabet),) * (self.k - 1)
         counts = Counter(sorted(self.keys(labeled.labels)))
         # keys were counted in ascending order: the first maximum is the smallest
         return tuple(max(counts, key=counts.__getitem__).decode())
@@ -270,27 +267,20 @@ def _trial_seed(seed: int, index: int) -> int:
     return next(gen)
 
 
-def _replies_for(
-    strategy: AdversaryStrategy,
-    labeled: LabeledDigraph,
-    start: int,
-    rounds: int,
-    limits: Limits,
-) -> tuple[str, ...]:
+def _replies_for(strategy, labeled, config, limits) -> tuple[str, ...]:
+    """Every reply that is not the honest walk: fixed, early or greedy."""
     if strategy.replies is not None:
-        if len(strategy.replies) != rounds:
-            raise ValueError(
-                f"fixed replies cover {len(strategy.replies)} rounds, need {rounds}"
-            )
+        if len(strategy.replies) != config.rounds:
+            raise ValueError(f"fixed replies cover {len(strategy.replies)} "
+                             f"rounds, need {config.rounds}")
         return strategy.replies
     if strategy.kind == "early-reply":
-        mfs = most_frequent_sequence(labeled, start, rounds + 1, limits=limits)
-        return mfs.sequence[1:]
+        return config.session_plan.early_replies(labeled, limits)
     # greedy: the heaviest next-step walk mass, ties to the smallest symbol;
     # once no walk goes on, the smallest symbol of the alphabet
-    counts = {start: 1}
+    counts = {config.start: 1}
     replies = []
-    for _ in range(rounds):
+    for _ in range(config.rounds):
         split = frontier_step(labeled.out_edges, counts, labeled.labels)
         sym = min(split, key=lambda s: (-sum(split[s].values()), s),
                   default=min(labeled.alphabet))
@@ -335,10 +325,8 @@ def _play(config, strategy, trial_index, limits) -> tuple:
     expected = _expected_labels(labeled, config.start, challenges)
     if strategy.kind == "honest":
         responses = expected  # the honest prover runs the same walk
-    elif strategy.kind == "early-reply" and strategy.replies is None:
-        responses = config.session_plan.early_replies(labeled, limits)
     else:
-        responses = _replies_for(strategy, labeled, config.start, config.rounds, limits)
+        responses = _replies_for(strategy, labeled, config, limits)
     timing = config.timing
     failed = None
     for i, (ok, r, e) in enumerate(zip(timing, responses, expected), 1):
@@ -433,11 +421,13 @@ def exhaustive_challenge_success(
     """Count accepting challenge strings for a FIXED labeled graph.
 
     With replies=None the early-reply strategy (most-frequent-sequence
-    suffix) is used.  Returns (accepting, 2**rounds).
+    suffix) is used.  Returns (accepting, 2**rounds); rounds < 1 raises
+    ValueError, as `ProtocolConfig` does.
     """
     if labeled.edge_labels is None:
         raise ProtocolError("exhaustive challenge runs need edge labels")
-    replies = _replies_for(early_reply(replies), labeled, start, rounds, limits)
+    config = ProtocolConfig(graph=labeled, start=start, rounds=rounds)
+    replies = _replies_for(early_reply(replies), labeled, config, limits)
     accepted = 0
     for mask in range(1 << rounds):
         challenges = [str((mask >> i) & 1) for i in range(rounds)]

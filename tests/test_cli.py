@@ -2,11 +2,12 @@ import argparse
 import json
 import os
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
-from mfskit import LabeledDigraph, ReductionVerdict, read_graph, write_graph
+from mfskit import LabeledDigraph, ReductionVerdict, cli, fraud, read_graph, write_graph
 from mfskit.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -260,8 +261,6 @@ def test_one_parser_serves_every_call(capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--float"]])
 def test_df_sweep_past_the_limit_sweeps_nothing(capsys, monkeypatch, flags):
-    import mfskit.cli as cli
-
     calls = []
 
     def counting(engine):
@@ -283,6 +282,39 @@ def test_df_exact_refusal_exit_code(capsys):
     for flags in ([], ["--float"]):
         out = run(capsys, ["df", "exact-tree", "-n", "13", *flags], expect=EXIT_RESOURCE)
         assert (out.out, out.err) == ("", refusal)
+
+
+class _BrokenPool:
+    """A worker pool whose workers have all died."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        raise BrokenProcessPool("a worker process terminated abruptly")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv, patch, err", [
+    (["df", "exact-tree", "-n", "3", "--threads", "2"],
+     (fraud, "ProcessPoolExecutor", _BrokenPool),
+     "error: worker process failed: a worker process terminated abruptly\n"),
+    (["simulate", "--protocol", "tree", "-n", "25", "--trials", "1"],
+     (cli, "make_tree", _out_of_memory), "error: out of memory\n"),
+], ids=["broken-pool", "out-of-memory"])
+def test_resource_failures_exit_code(capsys, monkeypatch, argv, patch, err):
+    monkeypatch.setattr(*patch)
+    out = run(capsys, argv, expect=EXIT_RESOURCE)
+    assert (out.out, out.err) == ("", err)
 
 
 def test_df_float_round_limit_override(capsys):
@@ -403,8 +435,6 @@ def test_reduce_rejects_tautology(capsys, tmp_path):
 
 
 def test_reduce_verification_failure_exit_code(capsys, tmp_path, monkeypatch):
-    import mfskit.cli as cli
-
     def fake_verify(formula, limits, reduction):
         return ReductionVerdict(
             ok=False, clause_count=3, mfs_count=1, mfs_sequence=(),
@@ -418,7 +448,6 @@ def test_reduce_verification_failure_exit_code(capsys, tmp_path, monkeypatch):
 
 
 def test_reduce_verify_builds_the_gadget_once(capsys, tmp_path, monkeypatch):
-    import mfskit.cli as cli
     import mfskit.reduction as reduction
 
     built, build = [], reduction.reduce_sat_to_mfs

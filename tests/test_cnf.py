@@ -75,6 +75,35 @@ def test_bad_token_reports_line():
         parse_dimacs("p cnf 2 2\n1 0\nx 0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 2 0\n", "need at least one clause"),
+    ("p cnf 3\n1 0\n",
+     "line 1: malformed header 'p cnf 3', expected 'p cnf <vars> <clauses>'"),
+    ("p cnf x 1\n1 0\n", "line 1: non-numeric header counts"),
+], ids=["no-clause", "short-header", "non-numeric-header"])
+def test_header_refusals(tmp_path, capsys, text, message):
+    from mfskit.cli import EXIT_INPUT, main
+
+    with pytest.raises(DimacsError) as info:
+        parse_dimacs(text)
+    assert str(info.value) == message
+    path = tmp_path / "bad.cnf"
+    path.write_text(text)
+    assert main(["reduce", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("clauses, message", [
+    (((1,), ()), "clause 2 is empty"),
+    (((1, 3),), "clause 1: literal 3 out of range 1..2"),
+    (((0, 1),), "clause 1: literal 0 out of range 1..2"),
+], ids=["empty-clause", "literal-past-the-variables", "literal-zero"])
+def test_formula_refusals(clauses, message):
+    with pytest.raises(DimacsError) as info:
+        CnfFormula(2, clauses)
+    assert str(info.value) == message
+
+
 def test_satlib_end_marker_ends_the_clauses():
     # SATLIB benchmark files (uf20-91 and others) close with '%' and '0'
     text = "c uf-style\np cnf 3  2 \n 1 -2 3 0\n-1 2 0\n%\n0\n\n"

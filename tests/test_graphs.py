@@ -41,6 +41,22 @@ def test_edge_label_shape_checked():
         LabeledDigraph(("0", "1"), ("0", "1"), ((1, 1), ()), (("0",), ()))
 
 
+@pytest.mark.parametrize("args, message", [
+    (((), (), ()), "alphabet must be a non-empty set of distinct symbols"),
+    ((("0", "0"), ("0",), ((),)), "alphabet must be a non-empty set of distinct symbols"),
+    ((("0",), ("0", "0"), ((),)), "out_edges has 1 rows for 2 vertices"),
+    ((("0",), ("0",), ((),), ((), ())), "edge_labels shape does not match vertex count"),
+    ((("0",), ("0", "0"), ((1,), ()), ((), ())), "vertex 0: 0 edge labels for 1 out-edges"),
+    ((("0",), ("0", "0"), ((1,), ()), (("2",), ())), "vertex 0: edge label '2' is not binary"),
+    ((("0",), ("0",), ((),), None, ("a", "b")), "names length does not match vertex count"),
+], ids=["empty-alphabet", "duplicate-alphabet", "out-edge-rows", "edge-label-rows",
+        "edge-label-count", "edge-label-symbol", "names-length"])
+def test_model_refusals(args, message):
+    with pytest.raises(GraphError) as info:
+        LabeledDigraph(*args)
+    assert str(info.value) == message
+
+
 def test_binary_instance_accepts_protocol_graphs(example_tree, example_poulidor):
     assert validate_binary_instance(example_tree).ok
     assert validate_binary_instance(example_poulidor).ok
@@ -143,6 +159,20 @@ def test_json_booleans_are_not_vertex_ids(tmp_path, capsys, vertex, edge, messag
     assert out.out == "" and message.replace("\\", "") in out.err
 
 
+def test_model_refusal_is_a_format_error(tmp_path, capsys):
+    from mfskit.cli import EXIT_INPUT, main
+
+    data = {"alphabet": ["0", "0"], "vertices": [{"id": 0, "label": "0"}], "edges": []}
+    message = "alphabet must be a non-empty set of distinct symbols"
+    with pytest.raises(GraphFormatError) as info:
+        graph_from_dict(data)
+    assert str(info.value) == message
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    assert main(["mfs", str(path), "--length", "1"]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_missing_top_level_key_rejected():
     with pytest.raises(GraphFormatError, match="missing required key 'edges'"):
         graph_from_dict({"alphabet": ["0"], "vertices": []})
@@ -172,6 +202,8 @@ def test_successor_lookup(example_tree):
     assert example_tree.successor(0, "0") == 1
     assert example_tree.successor(0, "1") == 2
     assert example_tree.successor(7, "0") is None  # leaf
+    with pytest.raises(GraphError, match="graph has no edge labels"):
+        LabeledDigraph(("0",), ("0",), ((),)).successor(0, "0")
 
 
 # -- the graph file writer ----------------------------------------------------

@@ -177,6 +177,14 @@ def test_config_needs_a_trial(trials):
         ProtocolConfig(graph=make_tree(2), start=0, rounds=2, trials=trials)
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_config_needs_a_round(rounds, example_tree):
+    with pytest.raises(ValueError, match="need at least one round"):
+        ProtocolConfig(graph=make_tree(2), start=0, rounds=rounds)
+    with pytest.raises(ValueError, match="need at least one round"):
+        exhaustive_challenge_success(example_tree, 0, rounds)
+
+
 def test_transcript_json_shape():
     config = ProtocolConfig(graph=make_tree(2), start=0, rounds=2, seed=4)
     data = run_session(config, early_reply()).to_json_dict()
@@ -378,7 +386,8 @@ def test_greedy_replies_match_per_level_oracle():
         for _ in range(200):
             g = random_binary_graph(rng, max_vertices=8, alphabet=alphabet)
             start, rounds = rng.randrange(g.vertex_count), rng.randint(1, 5)
-            replies = _replies_for(greedy_early_reply(), g, start, rounds, Limits())
+            config = ProtocolConfig(graph=g, start=start, rounds=rounds)
+            replies = _replies_for(greedy_early_reply(), g, config, Limits())
             assert replies == _greedy_oracle(g, start, rounds)
     config = ProtocolConfig(graph=make_poulidor(5), start=0, rounds=5, trials=100,
                             seed=4, labeler=_ternary)

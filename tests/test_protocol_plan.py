@@ -64,7 +64,8 @@ def test_plan_replies_match_oracle():
         labelings += [("custom", _random_labels(graph, alphabet, rng))
                       for alphabet in [("0", "1"), ("a", "b", "c")] for _ in range(3)]
         for kind, labeled in labelings:
-            assert plan.fits(labeled)
+            # a walk list is kept for every case here but the walk-free ones
+            assert plan.fits(labeled) == (plan.keys is not None) == (plan.walks > 0)
             want = _oracle(labeled, start, rounds)
             assert plan.early_replies(labeled, LIMITS) == want
             seen[kind] += 1

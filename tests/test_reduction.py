@@ -63,6 +63,11 @@ def test_leaf_tree_power_of_two_is_complete():
     assert all(len(out[v]) in (0, 2) for v in range(len(roles)))
 
 
+def test_leaf_tree_needs_a_leaf():
+    with pytest.raises(ValueError, match="need at least one leaf"):
+        build_leaf_tree(0)
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_leaf_tree_leaves_at_equal_depth(m):
     roles, out, leaves = build_leaf_tree(m)
@@ -353,6 +358,17 @@ def test_unsatisfiable_instance_scores_below_clause_count():
     assert verdict.ok
     assert not verdict.satisfiable
     assert verdict.mfs_count < verdict.clause_count
+
+
+def test_verify_against_another_formulas_gadget():
+    # the other gadget's maximizer occurs 3 times, as often as this formula
+    # has clauses, but decodes to an assignment this formula refuses
+    f = CnfFormula(3, ((1, 2), (-1, 3), (2, -3)))
+    other = reduce_sat_to_mfs(CnfFormula(3, ((1,), (-1,), (2, 3), (-2, 3))))
+    verdict = verify_reduction(f, reduction=other)
+    assert not verdict.ok
+    assert (verdict.mfs_count, verdict.assignment) == (3, (False, False, True))
+    assert "decoded assignment (False, False, True) does not satisfy" in verdict.detail
 
 
 # -- assignment extraction -----------------------------------------------------------

@@ -343,6 +343,18 @@ def test_complementary_labeling_makes_walks_unique(depth):
     assert most_frequent_sequence(g, 0, depth + 1).count == 1
 
 
+@pytest.mark.parametrize("g, message", [
+    (LabeledDigraph(("a", "b"), ("a",), ((),)),
+     "complementary labeling needs a binary alphabet"),
+    (LabeledDigraph(("0", "1"), ("0",) * 4, ((1, 2, 3), (), (), ())),
+     "vertex 0 has out-degree 3 > 2"),
+], ids=["alphabet", "out-degree"])
+def test_complementary_labeling_refusals(g, message):
+    with pytest.raises(GraphError) as info:
+        complementary_sibling_labeling(g, seed=0)
+    assert str(info.value) == message
+
+
 def test_single_vertex_gets_seed_first_bit():
     g = LabeledDigraph(("0", "1"), ("0",), ((),))
     for seed in (1, 2, 3, 4, 5):

@@ -26,6 +26,7 @@ from .errors import Limits, MfskitError, ResourceLimitError
 from .fraud import (
     brute_force_expected_max,
     check_round_limit,
+    check_table_size,
     distance_fraud_probability,
     expected_max_tree,
     expected_max_tree_float,
@@ -40,6 +41,7 @@ from .graphs import (
 )
 from .cnf import parse_dimacs
 from .protocol import (
+    ADVERSARY_KINDS,
     AdversaryStrategy,
     ProtocolConfig,
     RateReport,
@@ -197,6 +199,8 @@ def _cmd_df_exact(args) -> int:
     limits = _limits_from_args(args)
     lo, hi = args.sweep or (args.rounds, args.rounds)
     check_round_limit(hi, limits)
+    if not args.float:
+        check_table_size(hi)  # the largest table, before the first sweep
     payload = [_df_report(n, limits, args) for n in range(lo, hi + 1)]
     _emit(args, payload if args.sweep else payload[0])
     return EXIT_OK
@@ -389,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[on_graph, seed, limit["max_sequences"]],
                        help="run protocol sessions")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--adversary",
-                   choices=("honest", "early-reply", "greedy-early-reply"),
-                   default="honest")
+    p.add_argument("--adversary", choices=ADVERSARY_KINDS, default="honest")
     p.add_argument("--key", default=None, help="shared key as hex")
     p.add_argument("--transcripts", default=None,
                    help="write one JSON transcript per line to this file")

@@ -67,6 +67,11 @@ from .errors import DEFAULT_LIMITS, GraphError, Limits, MfskitError, ResourceLim
 from .graphs import LabeledDigraph
 from .walks import check_walk_limit, count_walks, walk_keys, walks_from
 
+try:
+    import resource
+except ImportError:  # not POSIX: no address-space limit to read
+    resource = None
+
 
 @dataclass(frozen=True)
 class DyadicProbability:
@@ -257,6 +262,31 @@ def check_round_limit(n: int, limits: Limits) -> None:
         )
 
 
+def _table_bytes(n: int) -> int:
+    # about the size of the binomial table of an exact sweep at n: rows
+    # m < 2**(n-1), each with m+1 binomials and m+1 prefix sums below
+    # 2**(2m); each value one list slot (8 bytes) and one int of 24 bytes
+    # plus 4 per 30-bit digit
+    return sum(2 * (m + 1) * (32 + 4 * max(1, -(-2 * m // 30)))
+               for m in range(1 << (n - 1)))
+
+
+def check_table_size(n: int) -> None:
+    """Refuse an exact sweep at n whose binomial table would not fit under
+    the soft address-space limit (RLIMIT_AS), before any of it is built.
+    Every sweep worker builds the same table under the same limit, so one
+    check covers them all."""
+    if resource is None:
+        return
+    cap = resource.getrlimit(resource.RLIMIT_AS)[0]
+    need = _table_bytes(n)
+    if cap != resource.RLIM_INFINITY and need > cap:
+        raise ResourceLimitError(
+            f"n = {n} needs about {need >> 20} MiB for its binomial table, "
+            f"above the address-space limit of {cap >> 20} MiB"
+        )
+
+
 @dataclass(frozen=True)
 class TreeExpectation:
     rounds: int
@@ -275,7 +305,9 @@ def expected_max_tree(
 
     Sweeps x = 1 .. 2**(n-1) with an independent pass per threshold, so
     memory stays at one level table per pass, and fills x > 2**(n-1) from
-    the one-sequence law (`_one_sequence_tail`).  With `workers` > 1, up to
+    the one-sequence law (`_one_sequence_tail`).  A binomial table too
+    large for the address-space limit is refused first
+    (`check_table_size`).  With `workers` > 1, up to
     one per swept threshold, worker i sweeps x = 1+i, 1+i+workers, ... in
     its own process with one binomial table; the stride balances the
     uneven cost per threshold, and the results interleave back
@@ -284,6 +316,7 @@ def expected_max_tree(
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     check_round_limit(n, limits)
+    check_table_size(n)
     top = 1 << n
     workers = min(workers, top >> 1)
     if workers > 1:
@@ -379,8 +412,11 @@ def brute_force_expected_max(
     """Exact expectation of the maximum occurrence count by enumerating
     every binary labeling of the graph (labels of `g` are ignored).
 
-    Works for any structure; the cost is 2**V labelings times the number
-    of walks, so V is capped by limits.max_brute_vertices.
+    Complementing every label leaves the maximum unchanged, so only the
+    labelings whose top vertex reads 0 are scored, each standing for its
+    complement too.  Works for any structure; the cost is 2**(V-1)
+    labelings times the number of walks, and V is capped by
+    limits.max_brute_vertices.
     """
     nv = g.vertex_count
     if nv > limits.max_brute_vertices:
@@ -389,7 +425,8 @@ def brute_force_expected_max(
             f"{limits.max_brute_vertices} (2^{nv} labelings)"
         )
     score = _occurrence_scorer(_full_walks(g, start, n, limits), nv)
-    return Fraction(sum(map(score, range(1 << nv))), 1 << nv)
+    # bit V-1 is the top vertex's label: these are the labelings where it reads 0
+    return Fraction(sum(map(score, range(1 << (nv - 1)))), 1 << (nv - 1))
 
 
 @dataclass(frozen=True)

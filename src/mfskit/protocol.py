@@ -4,7 +4,9 @@ Each session: both sides exchange nonces, derive the session labeling of
 the shared graph from a keyed pseudorandom bit stream, then run n timed
 rounds where a challenge bit steers one step of a walk and the response is
 the label of the vertex reached.  The verifier accepts when every response
-matches its own walk and every round's timing flag passes.
+matches its own walk.  The round timing check is not modelled: every
+prover here passes it, the early replier because it answers before the
+challenge arrives, so each round records `timing_ok` as true.
 
 The pseudorandom function is NOT a cryptographic primitive here, only a
 fixed, documented bit stream so that runs are reproducible: the seed is
@@ -19,9 +21,6 @@ labels the second one "0").  A single out-edge is labeled "0".  The
 labeler reads this prefix of the stream in one draw of 2n bits for n
 vertices, which covers the n label bits and at most n edge bits.
 
-Timing is abstract: per-round boolean flags stand in for the round-trip
-time check, applied identically to every strategy.
-
 One session core (`_play`) derives each trial's nonces, labeling,
 challenges, expected labels and responses.  `run_session` records its
 transcript and the rate estimator reads only its decision, so both agree
@@ -29,7 +28,7 @@ on every trial and raise the same errors; a transcript export plays each
 trial once.
 
 The honest prover answers with the verifier's own walk; every other
-reply, fixed, early or greedy, is chosen in one place, `_replies_for`.
+reply, early or greedy, is chosen in one place, `_replies_for`.
 The labeler hook relabels the structure it is given, `config.graph`.
 Early replies come only from the config's session plan, which lists that
 structure's walks once, so a session costs one gather over the list.  The
@@ -125,30 +124,32 @@ def label_graph_from_prf(
     )
 
 
+# the prover behaviors, as `simulate --adversary` names them
+ADVERSARY_KINDS = ("honest", "early-reply", "greedy-early-reply")
+
+
 @dataclass(frozen=True)
 class AdversaryStrategy:
     """Prover behavior: "honest" walks and answers truthfully;
-    "early-reply" commits to replies before seeing any challenge, by
-    default the most-frequent-sequence suffix recomputed per session;
+    "early-reply" commits to replies before seeing any challenge, the
+    most-frequent-sequence suffix recomputed per session;
     "greedy-early-reply" is an experimental heuristic that picks each
-    reply by the largest walk mass one step ahead."""
+    reply by the largest walk mass one step ahead.  Fixed replies on a
+    fixed labeling are scored by `exhaustive_challenge_success`."""
 
     kind: str
-    replies: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("honest", "early-reply", "greedy-early-reply"):
+        if self.kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.replies is not None:
-            object.__setattr__(self, "replies", tuple(self.replies))
 
 
 def honest() -> AdversaryStrategy:
     return AdversaryStrategy("honest")
 
 
-def early_reply(replies: Sequence[str] | str | None = None) -> AdversaryStrategy:
-    return AdversaryStrategy("early-reply", replies)
+def early_reply() -> AdversaryStrategy:
+    return AdversaryStrategy("early-reply")
 
 
 def greedy_early_reply() -> AdversaryStrategy:
@@ -163,8 +164,6 @@ class ProtocolConfig:
     key: bytes = b"shared-secret"
     trials: int = 1
     seed: int = 0
-    # one flag per round; "all-pass" is accepted and stored as all True
-    timing: str | tuple[bool, ...] = "all-pass"
     # session-labeling hook, replaceable by any function with the same
     # signature (structure, key, verifier_nonce, prover_nonce) -> graph
     labeler: Callable[..., LabeledDigraph] = label_graph_from_prf
@@ -175,16 +174,6 @@ class ProtocolConfig:
             raise ValueError("need at least one round")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.timing == "all-pass":
-            flags = (True,) * self.rounds
-        elif isinstance(self.timing, str):
-            raise ValueError(f"timing must be 'all-pass' or one flag per round, "
-                             f"not {self.timing!r}")
-        else:
-            flags = tuple(bool(b) for b in self.timing)
-        if len(flags) != self.rounds:
-            raise ValueError("timing flags must cover every round")
-        object.__setattr__(self, "timing", flags)
 
     @cached_property
     def session_plan(self) -> _SessionPlan:
@@ -245,7 +234,7 @@ class RoundRecord:
     challenge: str
     response: str
     expected: str
-    timing_ok: bool
+    timing_ok: bool = True  # the round timing check is not modelled
 
 
 @dataclass(frozen=True)
@@ -268,12 +257,7 @@ def _trial_seed(seed: int, index: int) -> int:
 
 
 def _replies_for(strategy, labeled, config, limits) -> tuple[str, ...]:
-    """Every reply that is not the honest walk: fixed, early or greedy."""
-    if strategy.replies is not None:
-        if len(strategy.replies) != config.rounds:
-            raise ValueError(f"fixed replies cover {len(strategy.replies)} "
-                             f"rounds, need {config.rounds}")
-        return strategy.replies
+    """Every reply that is not the honest walk: early or greedy."""
     if strategy.kind == "early-reply":
         return config.session_plan.early_replies(labeled, limits)
     # greedy: the heaviest next-step walk mass, ties to the smallest symbol;
@@ -314,8 +298,8 @@ def _play(config, strategy, trial_index, limits) -> tuple:
     is played here, so both readers see the same decision and errors.
 
     Returns (verifier_nonce, prover_nonce, challenges, responses, expected,
-    timing, failed_round), where failed_round is None for an accepted
-    session.
+    failed_round), where failed_round, the first round whose response
+    differs from the verifier's walk, is None for an accepted session.
     """
     rng = random.Random(_trial_seed(config.seed, trial_index))
     verifier_nonce = rng.getrandbits(64).to_bytes(8, "big")
@@ -327,13 +311,12 @@ def _play(config, strategy, trial_index, limits) -> tuple:
         responses = expected  # the honest prover runs the same walk
     else:
         responses = _replies_for(strategy, labeled, config, limits)
-    timing = config.timing
     failed = None
-    for i, (ok, r, e) in enumerate(zip(timing, responses, expected), 1):
-        if not ok or r != e:
+    for i, (r, e) in enumerate(zip(responses, expected), 1):
+        if r != e:
             failed = i
             break
-    return verifier_nonce, prover_nonce, challenges, responses, expected, timing, failed
+    return verifier_nonce, prover_nonce, challenges, responses, expected, failed
 
 
 def run_session(
@@ -346,13 +329,13 @@ def run_session(
     """Play one session and record its transcript; deterministic in
     (config.seed, trial_index) and decided exactly as the rate estimator
     decides the same trial."""
-    nonce_v, nonce_p, challenges, responses, expected, timing, failed = _play(
+    nonce_v, nonce_p, challenges, responses, expected, failed = _play(
         config, strategy, trial_index, limits
     )
     return SessionTranscript(
         verifier_nonce=nonce_v.hex(),
         prover_nonce=nonce_p.hex(),
-        rounds=tuple(map(RoundRecord, challenges, responses, expected, timing)),
+        rounds=tuple(map(RoundRecord, challenges, responses, expected)),
         accepted=failed is None,
         failed_round=failed,
     )
@@ -420,14 +403,19 @@ def exhaustive_challenge_success(
 ) -> tuple[int, int]:
     """Count accepting challenge strings for a FIXED labeled graph.
 
-    With replies=None the early-reply strategy (most-frequent-sequence
-    suffix) is used.  Returns (accepting, 2**rounds); rounds < 1 raises
-    ValueError, as `ProtocolConfig` does.
+    `replies` fixes one reply per round; with replies=None the early-reply
+    strategy (most-frequent-sequence suffix) is used.  Returns
+    (accepting, 2**rounds); rounds < 1 raises ValueError, as
+    `ProtocolConfig` does.
     """
     if labeled.edge_labels is None:
         raise ProtocolError("exhaustive challenge runs need edge labels")
     config = ProtocolConfig(graph=labeled, start=start, rounds=rounds)
-    replies = _replies_for(early_reply(replies), labeled, config, limits)
+    if replies is None:
+        replies = _replies_for(early_reply(), labeled, config, limits)
+    replies = tuple(replies)
+    if len(replies) != rounds:
+        raise ValueError(f"fixed replies cover {len(replies)} rounds, need {rounds}")
     accepted = 0
     for mask in range(1 << rounds):
         challenges = [str((mask >> i) & 1) for i in range(rounds)]

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -315,6 +317,41 @@ def test_resource_failures_exit_code(capsys, monkeypatch, argv, patch, err):
     monkeypatch.setattr(*patch)
     out = run(capsys, argv, expect=EXIT_RESOURCE)
     assert (out.out, out.err) == ("", err)
+
+
+@pytest.mark.skipif(fraud.resource is None, reason="no address-space limit to read")
+def test_df_sweep_refuses_its_largest_table_first(capsys, monkeypatch):
+    monkeypatch.setattr(fraud.resource, "getrlimit", lambda which: (1 << 20, 1 << 20))
+    monkeypatch.setattr(fraud, "_binom_rows", _out_of_memory)  # nothing is built
+    for flags in ([], ["--threads", "2"]):
+        argv = ["df", "exact-tree", "--sweep", "3:9", *flags]
+        out = run(capsys, argv, expect=EXIT_RESOURCE)
+        assert out.out == ""
+        assert out.err == ("error: n = 9 needs about 4 MiB for its binomial table, "
+                           "above the address-space limit of 1 MiB\n")
+    # float mode builds no such table and is not checked
+    out = run(capsys, ["df", "exact-tree", "--sweep", "9:9", "--float"])
+    assert json.loads(out.out)[0]["rounds"] == 9
+
+
+@pytest.mark.skipif(fraud.resource is None, reason="no address-space limit to set")
+def test_df_exact_table_refusal_under_an_address_space_cap():
+    # as `ulimit -v 400000` would run it: one line and exit 3, before the build
+    resource = fraud.resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024,) * 2)
+
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfskit.cli", "df", "exact-tree", "-n", "12"],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
+    assert proc.stderr == ("error: n = 12 needs about 1591 MiB for its binomial "
+                           "table, above the address-space limit of 390 MiB\n")
 
 
 def test_df_float_round_limit_override(capsys):

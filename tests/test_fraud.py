@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -364,6 +365,50 @@ def test_expected_max_rejects_bad_rounds():
         expected_max_tree(0)
 
 
+@pytest.mark.parametrize("n", range(6, 10))
+def test_table_estimate_covers_the_built_table(n):
+    tracemalloc.start()
+    try:
+        rows = fraud._binom_rows((1 << (n - 1)) - 1)
+        built = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows and built <= fraud._table_bytes(n) <= 1.5 * built
+
+
+@pytest.mark.skipif(fraud.resource is None, reason="no address-space limit to read")
+def test_table_too_large_for_the_address_space_is_refused(monkeypatch):
+    resource = fraud.resource
+    cap = 400_000 * 1024  # ulimit -v 400000
+
+    def getrlimit(which):
+        assert which == resource.RLIMIT_AS
+        return cap, resource.RLIM_INFINITY
+
+    built, build = [], fraud._binom_rows
+
+    def recording(mmax):
+        built.append(mmax)
+        return build(mmax)
+
+    monkeypatch.setattr(resource, "getrlimit", getrlimit)
+    monkeypatch.setattr(fraud, "_binom_rows", recording)
+    want = ("^n = 12 needs about 1591 MiB for its binomial table, "
+            "above the address-space limit of 390 MiB$")
+    for workers in (1, 2):  # refused in the parent, before any worker starts
+        with pytest.raises(ResourceLimitError, match=want):
+            expected_max_tree(12, workers=workers)
+    assert built == []
+    # a table at the cap is built, the next larger one is refused
+    cap = fraud._table_bytes(5)
+    assert expected_max_tree(5).rounds == 5
+    with pytest.raises(ResourceLimitError, match="^n = 6 needs about 0 MiB"):
+        expected_max_tree(6)
+    cap = resource.RLIM_INFINITY
+    assert expected_max_tree(6).rounds == 6
+    assert built == [15, 31]
+
+
 # -- brute force --------------------------------------------------------------------
 
 
@@ -417,6 +462,25 @@ def test_scorer_matches_oracle_on_protocol_graphs(g, n):
     nv = g.vertex_count
     labelings = [0, (1 << nv) - 1] + [rng.getrandbits(nv) for _ in range(200)]
     assert_scorer_matches_oracle(g, 0, n, labelings)
+
+
+def test_brute_force_equals_the_sum_over_every_labeling():
+    # brute force scores the labelings whose top vertex reads 0; the oracle
+    # scores all 2**V of them
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(200):
+        g = random_binary_graph(rng, max_vertices=8)
+        start = rng.randrange(g.vertex_count)
+        n = rng.randint(1, 4)
+        walks = walks_from(g, start, n + 1)
+        if not walks:
+            continue
+        nv = g.vertex_count
+        total = sum(max_occurrence_oracle(walks, bits) for bits in range(1 << nv))
+        assert brute_force_expected_max(g, start, n) == Fraction(total, 1 << nv)
+        checked += 1
+    assert checked > 100
 
 
 def test_brute_force_smallest_tree():

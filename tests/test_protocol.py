@@ -143,34 +143,6 @@ def test_honest_always_accepts():
             assert all(r.response == r.expected for r in transcript.rounds)
 
 
-def test_failed_timing_flag_rejects_at_that_round():
-    config = ProtocolConfig(
-        graph=make_tree(3), start=0, rounds=3, timing=(True, False, True)
-    )
-    transcript = run_session(config, honest())
-    assert not transcript.accepted
-    assert transcript.failed_round == 2
-
-
-def test_timing_flags_must_cover_rounds():
-    with pytest.raises(ValueError, match="cover every round"):
-        ProtocolConfig(graph=make_tree(3), start=0, rounds=3, timing=(True,))
-
-
-def test_timing_is_stored_as_one_flag_per_round():
-    config = ProtocolConfig(graph=make_tree(3), start=0, rounds=3)
-    assert config.timing == (True, True, True)
-    config = ProtocolConfig(graph=make_tree(3), start=0, rounds=3, timing=[1, 0, 1])
-    assert config.timing == (True, False, True)
-
-
-@pytest.mark.parametrize("timing", ["000", "111", "", "all"])
-def test_timing_strings_other_than_all_pass_are_refused(timing):
-    # each character is a non-empty string, so "000" would read as all True
-    with pytest.raises(ValueError, match=f"not {timing!r}"):
-        ProtocolConfig(graph=make_tree(3), start=0, rounds=3, timing=timing)
-
-
 @pytest.mark.parametrize("trials", [0, -5])
 def test_config_needs_a_trial(trials):
     with pytest.raises(ValueError, match="need at least one trial"):
@@ -202,10 +174,9 @@ def test_dead_end_walk_raises():
         run_session(config, honest())
 
 
-def test_fixed_replies_must_cover_rounds():
-    config = ProtocolConfig(graph=make_tree(2), start=0, rounds=2)
-    with pytest.raises(ValueError, match="cover 1 rounds, need 2"):
-        run_session(config, early_reply("0"))
+def test_fixed_replies_must_cover_rounds(example_tree):
+    with pytest.raises(ValueError, match="^fixed replies cover 2 rounds, need 3$"):
+        exhaustive_challenge_success(example_tree, 0, 3, replies="01")
 
 
 # -- the worked example ------------------------------------------------------------
@@ -282,8 +253,6 @@ DEAD_END = LabeledDigraph(("0", "1"), ("0",), ((),), ((),))
     "graph, rounds, strategy, limits, error, match",
     [
         (DEAD_END, 1, honest(), Limits(), ProtocolError, "dead-ends"),
-        (make_tree(2), 2, early_reply("0"), Limits(), ValueError,
-         "cover 1 rounds, need 2"),
         (make_tree(2), 2, early_reply(), Limits(max_walks=2, max_sequences=2),
          ResourceLimitError, None),
         # the labeler refuses before the walk limit is checked
@@ -291,14 +260,12 @@ DEAD_END = LabeledDigraph(("0", "1"), ("0",), ((),), ((),))
          early_reply(), Limits(max_walks=1), ProtocolError,
          "^vertex 0 has out-degree 3; protocol graphs need <= 2$"),
     ],
-    ids=["dead-end", "short-replies", "mfs-limit", "wide-vertex"],
+    ids=["dead-end", "mfs-limit", "wide-vertex"],
 )
 def test_estimate_raises_like_run_session_despite_failed_timing(
     graph, rounds, strategy, limits, error, match
 ):
-    # a failing timing flag must not hide an error run_session raises
-    timing = (False,) + (True,) * (rounds - 1)
-    config = ProtocolConfig(graph=graph, start=0, rounds=rounds, timing=timing)
+    config = ProtocolConfig(graph=graph, start=0, rounds=rounds)
     with pytest.raises(error, match=match):
         run_session(config, strategy, limits=limits)
     with pytest.raises(error, match=match):
@@ -306,20 +273,14 @@ def test_estimate_raises_like_run_session_despite_failed_timing(
 
 
 @pytest.mark.parametrize(
-    "graph, rounds, timing",
-    [
-        (make_tree(3), 3, "all-pass"),
-        (make_poulidor(4), 4, "all-pass"),
-        (make_tree(3), 3, (True, True, False)),
-    ],
-    ids=["tree", "poulidor", "failing-timing"],
+    "graph, rounds",
+    [(make_tree(3), 3), (make_poulidor(4), 4)],
+    ids=["tree", "poulidor"],
 )
 @pytest.mark.parametrize("strategy", [honest(), early_reply(), greedy_early_reply()],
                          ids=lambda s: s.kind)
-def test_transcript_decision_matches_fast_path(graph, rounds, timing, strategy):
-    config = ProtocolConfig(
-        graph=graph, start=0, rounds=rounds, trials=200, seed=21, timing=timing
-    )
+def test_transcript_decision_matches_fast_path(graph, rounds, strategy):
+    config = ProtocolConfig(graph=graph, start=0, rounds=rounds, trials=200, seed=21)
     limits = Limits()
     flags = [
         run_session(config, strategy, trial_index=t, limits=limits).accepted

@@ -200,7 +200,7 @@ def _cmd_df_exact(args) -> int:
     lo, hi = args.sweep or (args.rounds, args.rounds)
     check_round_limit(hi, limits)
     if not args.float:
-        check_table_size(hi)  # the largest table, before the first sweep
+        check_table_size(1 << (hi - 1), f"n = {hi}")  # the largest, first
     payload = [_df_report(n, limits, args) for n in range(lo, hi + 1)]
     _emit(args, payload if args.sweep else payload[0])
     return EXIT_OK
@@ -327,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         holder.add_argument(f"--{name.replace('_', '-')}", type=int, default=None,
                             help=f"override the {name} limit")
     # the graph that df brute, df mc and simulate run on, and what all three read
-    on_graph = argparse.ArgumentParser(add_help=False,
-                                       parents=[fmt, limit["max_walks"]])
+    on_graph = argparse.ArgumentParser(
+        add_help=False, parents=[fmt, limit["max_walks"], limit["max_sequences"]])
     source = on_graph.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", help="graph JSON file")
     source.add_argument("--protocol", choices=("tree", "poulidor"))
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check against exhaustive satisfiability")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("simulate", parents=[on_graph, seed, limit["max_sequences"]],
+    p = sub.add_parser("simulate", parents=[on_graph, seed],
                        help="run protocol sessions")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--adversary", choices=ADVERSARY_KINDS, default="honest")

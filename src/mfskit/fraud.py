@@ -44,18 +44,15 @@ Two exact facts prune the state space: M(m, n) >= m always, so the
 probability is 0 when x <= m; and M(m, n) <= m * 2**n with equality on the
 all-equal labeling, so the probability is 1 when x exceeds that.
 
-Brute force and Monte Carlo work on any graph.  They list the walks of
-n+1 vertices once, refusing a start vertex that has none, and
-`_occurrence_scorer` keys each labeling with one gather over that list
-(`walks.walk_keys`, shared with the early-reply sessions of `protocol`)
-and counts the keys with one `Counter`, so each labeling is scored with a
-few C-level calls and no Python loop over walks.
+Brute force and Monte Carlo work on any graph.  They score each labeling
+with `walks.MfsScorer`, the one scorer the early-reply sessions of
+`protocol` use too: one gather over the walks and one `Counter` on trees,
+one prefix search on rings from n = 8.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,9 +60,10 @@ from math import comb, sqrt
 from itertools import accumulate
 from operator import lshift, mul
 
-from .errors import DEFAULT_LIMITS, GraphError, Limits, MfskitError, ResourceLimitError
+from .errors import DEFAULT_LIMITS, Limits, MfskitError, ResourceLimitError
 from .graphs import LabeledDigraph
-from .walks import check_walk_limit, count_walks, walk_keys, walks_from
+from .walks import MfsScorer
+from .walks import count_walks, walks_from  # noqa: F401  bench/run.py traces them here
 
 try:
     import resource
@@ -191,7 +189,9 @@ def recursive_prob(m: int, n: int, x: int) -> DyadicProbability:
     """Exact Pr(M(m, n) < x) for the fan tree with 2m root children."""
     if m < 0 or n < 1 or x < 1:
         raise ValueError("need m >= 0, n >= 1 and x >= 1")
-    rows = _binom_rows(min(m << (n - 1), x - 1))  # all the sweep reads
+    mmax = min(m << (n - 1), x - 1)  # the last row the sweep reads
+    check_table_size(mmax + 1, f"m = {m}, n = {n}, x = {x}")
+    rows = _binom_rows(mmax)
     numer = _level_sweep(m, n, x, rows, lshift)
     return DyadicProbability(numer, _level_exponent(n) * m)
 
@@ -262,27 +262,26 @@ def check_round_limit(n: int, limits: Limits) -> None:
         )
 
 
-def _table_bytes(n: int) -> int:
-    # about the size of the binomial table of an exact sweep at n: rows
-    # m < 2**(n-1), each with m+1 binomials and m+1 prefix sums below
-    # 2**(2m); each value one list slot (8 bytes) and one int of 24 bytes
-    # plus 4 per 30-bit digit
+def _table_bytes(rows: int) -> int:
+    # about the size of binomial table rows m < `rows`, each with m+1
+    # binomials and m+1 prefix sums below 2**(2m); each value one list slot
+    # (8 bytes) and one int of 24 bytes plus 4 per 30-bit digit
     return sum(2 * (m + 1) * (32 + 4 * max(1, -(-2 * m // 30)))
-               for m in range(1 << (n - 1)))
+               for m in range(rows))
 
 
-def check_table_size(n: int) -> None:
-    """Refuse an exact sweep at n whose binomial table would not fit under
-    the soft address-space limit (RLIMIT_AS), before any of it is built.
-    Every sweep worker builds the same table under the same limit, so one
-    check covers them all."""
+def check_table_size(rows: int, what: str) -> None:
+    """Refuse a binomial table of `rows` rows for `what` that would not fit
+    under the soft address-space limit (RLIMIT_AS), before any of it is
+    built.  A sweep at n reads 2**(n-1) rows; its workers build the same
+    table under the same limit, so one check covers them all."""
     if resource is None:
         return
     cap = resource.getrlimit(resource.RLIMIT_AS)[0]
-    need = _table_bytes(n)
+    need = _table_bytes(rows)
     if cap != resource.RLIM_INFINITY and need > cap:
         raise ResourceLimitError(
-            f"n = {n} needs about {need >> 20} MiB for its binomial table, "
+            f"{what} needs about {need >> 20} MiB for its binomial table, "
             f"above the address-space limit of {cap >> 20} MiB"
         )
 
@@ -316,7 +315,7 @@ def expected_max_tree(
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     check_round_limit(n, limits)
-    check_table_size(n)
+    check_table_size(1 << (n - 1), f"n = {n}")
     top = 1 << n
     workers = min(workers, top >> 1)
     if workers > 1:
@@ -374,32 +373,12 @@ def expected_max_tree_float(
 # -- brute force and Monte Carlo ------------------------------------------------
 
 
-def _full_walks(g: LabeledDigraph, start: int, n: int, limits: Limits):
+def _scores(g: LabeledDigraph, start: int, n: int, limits: Limits):
+    # labeling bits -> maximum occurrence over the walks of n+1 vertices
     g.check_vertex(start)
     if n < 1:
         raise ValueError("need n >= 1 rounds")
-    count = count_walks(g, start, n + 1)
-    if not count:
-        raise GraphError(f"no walk of {n + 1} vertices starts at vertex {start}")
-    check_walk_limit(count, n + 1, limits)
-    return walks_from(g, start, n + 1)
-
-
-def _occurrence_scorer(walks, nv: int):
-    """Score function for one walk list: labeling bits -> maximum occurrence.
-
-    Bit v of the labeling is the label of vertex v.  Scoring a labeling is
-    one format call and one `walk_keys` call, with the counting left to
-    `Counter`.
-    """
-    keys = walk_keys(walks)
-    top = 1 << nv
-
-    def score(bits: int) -> int:
-        # reversed binary with a sentinel top bit: labels[v] is bit v
-        return max(Counter(keys(format(bits | top, "b")[:0:-1])).values())
-
-    return score
+    return MfsScorer(g, start, n + 1).counter(limits)
 
 
 def brute_force_expected_max(
@@ -424,7 +403,7 @@ def brute_force_expected_max(
             f"{nv} vertices exceed the brute-force limit "
             f"{limits.max_brute_vertices} (2^{nv} labelings)"
         )
-    score = _occurrence_scorer(_full_walks(g, start, n, limits), nv)
+    score = _scores(g, start, n, limits)
     # bit V-1 is the top vertex's label: these are the labelings where it reads 0
     return Fraction(sum(map(score, range(1 << (nv - 1)))), 1 << (nv - 1))
 
@@ -506,7 +485,7 @@ def monte_carlo_expected_max(
     if samples < 1:
         raise ValueError("need samples >= 1")
     nv = g.vertex_count
-    score = _occurrence_scorer(_full_walks(g, start, n, limits), nv)
+    score = _scores(g, start, n, limits)
     rng = random.Random(seed)
     total = 0
     total_sq = 0

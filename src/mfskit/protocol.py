@@ -30,22 +30,17 @@ trial once.
 The honest prover answers with the verifier's own walk; every other
 reply, early or greedy, is chosen in one place, `_replies_for`.
 The labeler hook relabels the structure it is given, `config.graph`.
-Early replies come only from the config's session plan, which lists that
-structure's walks once, so a session costs one gather over the list.  The
-plan makes the solver's one refusal first (`walks.check_search_limit`),
-so labelings with fewer candidate sequences than walks stay on the plan
-too, and are refused alike.  When no walk list was kept (no full-length
-walk, or too many walks), or a hook returns a graph with other out-edges
-or symbols that are not single ASCII characters, that session's replies
-come from `most_frequent_sequence` on the returned graph: same replies,
-same refusals, only slower.
+Early replies come from the config's scorer, the one per-structure scorer
+of `walks` (`MfsScorer`) that `df brute` and `df mc` use too: one gather
+over the walks listed once, or one prefix search where walks are many
+against their frontier states, or where a labeler hook changes the
+out-edges or the symbols.  Every path makes the solver's one refusal.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
@@ -53,14 +48,8 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import DEFAULT_LIMITS, GraphError, Limits, ProtocolError
 from .graphs import LabeledDigraph
-from .walks import (
-    check_search_limit,
-    count_walks,
-    frontier_step,
-    most_frequent_sequence,
-    walk_keys,
-    walks_from,
-)
+from .walks import MfsScorer, frontier_step
+from .walks import most_frequent_sequence  # noqa: F401  bench/run.py traces it here
 
 _MASK64 = (1 << 64) - 1
 
@@ -176,57 +165,13 @@ class ProtocolConfig:
             raise ValueError("need at least one trial")
 
     @cached_property
-    def session_plan(self) -> _SessionPlan:
-        """What the early-reply sessions of this config share, built at
-        the first such session."""
-        return _SessionPlan(self.graph, self.start, self.rounds + 1)
+    def scorer(self) -> MfsScorer:
+        """The early-reply scorer of this structure, built at first use."""
+        return MfsScorer(self.graph, self.start, self.rounds + 1)
 
     def __getstate__(self):
-        # the plan holds closures that do not pickle; it is rebuilt on use
-        return {k: v for k, v in vars(self).items() if k != "session_plan"}
-
-
-# longer walk lists are not kept: their sessions use the prefix search
-_PLAN_MAX_WALKS = 1 << 16
-
-
-class _SessionPlan:
-    """The walks of k vertices from `start` in one structure: their count
-    and their `walk_keys` gather.
-
-    A labeled graph fits when a walk list was kept, the graph keeps the
-    structure's out-edges and its symbols are one ASCII character each.
-    Its replies are then the smallest most frequent key, after the refusal
-    that `most_frequent_sequence` would make at the same point.
-    """
-
-    def __init__(self, structure: LabeledDigraph, start: int, k: int):
-        self.out_edges, self.start, self.k = structure.out_edges, start, k
-        self.walks = count_walks(structure, start, k)
-        self.keys = None
-        if 0 < self.walks <= _PLAN_MAX_WALKS:
-            self.keys = walk_keys(walks_from(structure, start, k))
-        self.alphabet = None  # the last alphabet found to fit
-
-    def fits(self, labeled: LabeledDigraph) -> bool:
-        if self.keys is None or labeled.out_edges != self.out_edges:
-            return False
-        alphabet = labeled.alphabet
-        if alphabet is not self.alphabet:
-            if not all(isinstance(sym, str) and len(sym) == 1 and sym.isascii()
-                       for sym in alphabet):
-                return False
-            self.alphabet = alphabet
-        return True
-
-    def early_replies(self, labeled: LabeledDigraph, limits: Limits) -> tuple:
-        if not self.fits(labeled):
-            mfs = most_frequent_sequence(labeled, self.start, self.k, limits=limits)
-            return mfs.sequence[1:]
-        check_search_limit(self.walks, len(labeled.alphabet), self.k, limits)
-        counts = Counter(sorted(self.keys(labeled.labels)))
-        # keys were counted in ascending order: the first maximum is the smallest
-        return tuple(max(counts, key=counts.__getitem__).decode())
+        # the scorer holds closures that do not pickle; it is rebuilt on use
+        return {k: v for k, v in vars(self).items() if k != "scorer"}
 
 
 @dataclass(frozen=True)
@@ -259,7 +204,7 @@ def _trial_seed(seed: int, index: int) -> int:
 def _replies_for(strategy, labeled, config, limits) -> tuple[str, ...]:
     """Every reply that is not the honest walk: early or greedy."""
     if strategy.kind == "early-reply":
-        return config.session_plan.early_replies(labeled, limits)
+        return config.scorer.best(labeled, limits)[1:]
     # greedy: the heaviest next-step walk mass, ties to the smallest symbol;
     # once no walk goes on, the smallest symbol of the alphabet
     counts = {config.start: 1}
@@ -342,7 +287,7 @@ def run_session(
 
 
 def _session_accepts(config, strategy, trial_index, limits) -> bool:
-    # transcript-free reader of the session core: its failed round
+    # transcript-free reader of the session core; bench/run.py calls it too
     return _play(config, strategy, trial_index, limits)[-1] is None
 
 

@@ -9,7 +9,8 @@ multiset and the MFS solver, the greedy adversary and the reduction's
 maximal-walk check all advance through it instead of enumerating walks
 one by one.  The label-blind levels are one pass, `_frontiers`: its last
 level sums to `count_walks`, the prefix search takes its walk count and
-reach sets from it, and the maximal-walk check stops one past full length.
+reach sets from it, `MfsScorer` its walk count and switch (`_gathers`), and
+the maximal-walk check stops one past full length.
 
 The prefix search stops L symbols short of full length and reads the last
 L symbols from packed integers: one per vertex, with one fixed-width slot
@@ -103,20 +104,16 @@ def occ_count(g: LabeledDigraph, start: int, t: str | Sequence[str]) -> int:
     return sum(counts.values())
 
 
-def check_walk_limit(total: int, k: int, limits: Limits) -> None:
-    if total > limits.max_walks:
-        raise ResourceLimitError(
-            f"{total} walks of {k} vertices exceed the limit {limits.max_walks}"
-        )
-
-
 def check_search_limit(walks: int, symbols: int, k: int, limits: Limits) -> None:
     """The one refusal of the prefix search: of the `walks` of k vertices
     and the symbols**k candidate sequences, the smaller (the walks on a
     tie) is checked against its limit, max_walks or max_sequences."""
     candidates = symbols ** k
     if walks <= candidates:
-        check_walk_limit(walks, k, limits)
+        if walks > limits.max_walks:
+            raise ResourceLimitError(
+                f"{walks} walks of {k} vertices exceed the limit {limits.max_walks}"
+            )
     elif candidates > limits.max_sequences:
         raise ResourceLimitError(
             f"{symbols}^{k} candidate sequences exceed the limit "
@@ -281,6 +278,82 @@ def most_frequent_sequence(
     prefix, slot = best
     suffixes = product(sorted(g.alphabet), repeat=k - len(prefix))
     return MfsResult(prefix + next(islice(suffixes, slot, None)), best_count, tie_count)
+
+
+# -- one scorer per structure ---------------------------------------------------
+
+
+def _gathers(walks: int, states: int) -> bool:
+    """The scorer's switch: gather when 0 < walks <= 4 * sum_d |frontier_d|,
+    at most 2**16.  Trees merge no walks and always gather up to the cap;
+    rings merge them, and from n = 8 the prefix search is faster."""
+    return 0 < walks <= min(1 << 16, 4 * states)
+
+
+class MfsScorer:
+    """The early-reply count of each labeling of one structure: over the
+    walks of k vertices from `start`, max_t occ(t) and the smallest t
+    reaching it.  One `_frontiers` pass gives the walk count and the switch
+    (`_gathers`).  Below it the walks are listed once, and a labeling costs
+    one `walk_keys` gather and one `Counter`; above it, one
+    `most_frequent_sequence`.  Both answer alike, after one refusal,
+    `check_search_limit`."""
+
+    def __init__(self, structure: LabeledDigraph, start: int, k: int):
+        self.out_edges, self.start, self.k = structure.out_edges, start, k
+        states = 0
+        for level in _frontiers(structure, start, k):
+            states += len(level)
+        self.walks = sum(level.values())
+        self.keys = None
+        if k > 1 and _gathers(self.walks, states):  # a key needs a second vertex
+            self.keys = walk_keys(walks_from(structure, start, k))
+        self.alphabet = None  # the last alphabet found to fit
+
+    def fits(self, labeled: LabeledDigraph) -> bool:
+        """A labeling of the structure: the same out-edges, and symbols of
+        one ASCII character each, as the gather's keys need."""
+        alphabet = labeled.alphabet
+        if alphabet is not self.alphabet:
+            if not all(isinstance(sym, str) and len(sym) == 1 and sym.isascii()
+                       for sym in alphabet):
+                return False
+            self.alphabet = alphabet
+        return labeled.out_edges == self.out_edges
+
+    def counter(self, limits: Limits):
+        """Labeling bits -> max_t occ(t), bit v being the label of vertex v,
+        after refusing a start with no walk and the search for two symbols."""
+        if not self.walks:
+            raise GraphError(
+                f"no walk of {self.k} vertices starts at vertex {self.start}")
+        check_search_limit(self.walks, 2, self.k, limits)
+        keys, out_edges, start, k = self.keys, self.out_edges, self.start, self.k
+        top = 1 << len(out_edges)
+
+        def count(bits: int) -> int:
+            # reversed binary with a sentinel top bit: labels[v] is bit v
+            labels = format(bits | top, "b")[:0:-1]
+            if keys is not None:
+                return max(Counter(keys(labels)).values())
+            g = LabeledDigraph._unchecked(("0", "1"), tuple(labels), out_edges,
+                                          None, None)
+            return most_frequent_sequence(g, start, k, limits=limits).count
+
+        return count
+
+    def best(self, labeled: LabeledDigraph, limits: Limits) -> tuple[str, ...]:
+        """The smallest most frequent sequence of `labeled`: gathered when
+        it fits, else from the prefix search on `labeled` itself, as for a
+        labeler hook that changes the out-edges or the symbols."""
+        if self.keys is None or not self.fits(labeled):
+            return most_frequent_sequence(labeled, self.start, self.k,
+                                          limits=limits).sequence
+        check_search_limit(self.walks, len(labeled.alphabet), self.k, limits)
+        counts = Counter(sorted(self.keys(labeled.labels)))
+        # keys were counted in ascending order: the first maximum is the smallest
+        top = max(counts, key=counts.__getitem__)
+        return (labeled.labels[self.start], *top.decode())
 
 
 # -- complementary sibling labeling -------------------------------------------

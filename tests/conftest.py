@@ -32,6 +32,11 @@ def example_formula() -> CnfFormula:
     return CnfFormula(3, ((1, -2), (2, -3), (-1, -2, -3)))
 
 
+# `walks._gathers` forced to each side of the scorer's switch
+SCORER_PATHS = {"gather": lambda walks, states: walks > 0,
+                "search": lambda walks, states: False}
+
+
 def random_binary_graph(
     rng: random.Random, max_vertices: int = 10, alphabet: tuple[str, ...] | None = None
 ) -> LabeledDigraph:

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from mfskit import LabeledDigraph, ReductionVerdict, cli, fraud, read_graph, write_graph
+from mfskit import (
+    LabeledDigraph, ReductionVerdict, cli, fraud, read_graph, walks, write_graph,
+)
 from mfskit.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -157,6 +159,31 @@ def test_df_sampling_matches_golden(capsys, argv, golden):
     assert run(capsys, argv).out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["df", "mc", "--protocol", "poulidor", "-n", "12", "--samples", "200", "--seed", "1"],
+     "df_mc_poulidor_n12.json"),
+    (["df", "brute", "--protocol", "poulidor", "-n", "8"], "df_brute_poulidor_n8.json"),
+], ids=["mc", "brute"])
+def test_df_on_rings_past_the_switch_lists_no_walks(capsys, monkeypatch, argv, golden):
+    # the prefix search scores these rings and prints what the walk-list
+    # gather printed; no walk is listed
+    def refuse(*args):
+        raise AssertionError("walks listed")
+
+    monkeypatch.setattr(walks, "walks_from", refuse)
+    assert run(capsys, argv).out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("method", ["brute", "mc"])
+def test_df_refuses_candidates_on_out_degree_three(capsys, tmp_path, method):
+    # 27 walks of 4 vertices outnumber the 2^4 candidate sequences
+    graph = tmp_path / "g.json"
+    write_graph(LabeledDigraph(("0", "1"), ("0",) * 3, ((0, 1, 2),) * 3), graph)
+    out = run(capsys, ["df", method, "--graph", str(graph), "-n", "3", "--max-walks", "1",
+                       "--max-sequences", "15"], expect=EXIT_RESOURCE)
+    assert out.err == "error: 2^4 candidate sequences exceed the limit 15\n"
+
+
 def test_df_sweep_csv(capsys):
     out = run(capsys, ["df", "exact-tree", "--sweep", "1:3", "--format", "csv"])
     lines = out.out.strip().splitlines()
@@ -191,8 +218,8 @@ def test_df_exact_rejects_graph_flags(capsys, flag, value):
     (["reduce", str(GOLDEN / "reduce_cnf_5v7c.cnf"), "--seed", "2"], "--seed"),
     (["df", "brute", "--protocol", "tree", "-n", "2", "--threads", "4"], "--threads"),
     (["generate", "tree", "-n", "2", "--max-walks", "3"], "--max-walks"),
-    (["df", "mc", "--protocol", "tree", "-n", "2", "--max-sequences", "1"],
-     "--max-sequences"),
+    (["df", "mc", "--protocol", "tree", "-n", "2", "--max-exact-rounds", "1"],
+     "--max-exact-rounds"),
     (["mfs", str(GOLDEN / "tree_n2.json"), "--length", "2", "--max-exact-rounds", "3"],
      "--max-exact-rounds"),
     (["simulate", "--protocol", "tree", "-n", "2", "--max-brute-vertices", "3"],
@@ -205,7 +232,7 @@ def test_df_exact_rejects_graph_flags(capsys, flag, value):
 ], ids=["brute-sweep", "brute-float", "mc-force", "exact-samples", "exact-start",
         "exact-n-and-sweep", "tree-fan", "graph-and-protocol", "reversed-sweep",
         "generate-format", "reduce-seed", "brute-threads", "generate-max-walks",
-        "mc-max-sequences", "mfs-max-exact-rounds", "simulate-max-brute-vertices",
+        "mc-max-exact-rounds", "mfs-max-exact-rounds", "simulate-max-brute-vertices",
         "exact-force", "labels-and-seed", "float-and-threads", "mfs-mode",
         "sweep-without-colon"])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv, flag):
@@ -222,8 +249,9 @@ LEAF_OPTIONS = {
     ("mfs",): "--start --length --format --max-walks --max-sequences",
     ("df", "exact-tree"): "-n --sweep --float --threads --format --max-exact-rounds",
     ("df", "brute"): "--graph --protocol --start -n --format --max-walks "
-                     "--max-brute-vertices",
-    ("df", "mc"): "--graph --protocol --start -n --samples --seed --format --max-walks",
+                     "--max-sequences --max-brute-vertices",
+    ("df", "mc"): "--graph --protocol --start -n --samples --seed --format --max-walks "
+                  "--max-sequences",
     ("reduce",): "--out --verify --max-walks --max-sequences",
     ("simulate",): "--graph --protocol --start -n --trials --adversary --key "
                    "--transcripts --seed --format --max-walks --max-sequences",
@@ -246,7 +274,7 @@ def test_each_command_takes_only_the_flags_it_reads():
         for path, leaf in _leaves(build_parser())
     }
     assert options == {path: set(flags.split()) for path, flags in LEAF_OPTIONS.items()}
-    assert sum(map(len, options.values())) == 55
+    assert sum(map(len, options.values())) == 57
 
 
 def test_one_parser_serves_every_call(capsys):

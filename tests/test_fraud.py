@@ -25,8 +25,9 @@ from mfskit import (
     recursive_prob,
 )
 from mfskit import fraud
+from mfskit import walks as walks_module
 from mfskit.walks import walks_from
-from conftest import random_binary_graph
+from conftest import SCORER_PATHS, random_binary_graph
 
 
 def enumerate_max_distribution(g, start, n, fixed_root_label=True) -> Counter:
@@ -373,7 +374,7 @@ def test_table_estimate_covers_the_built_table(n):
         built = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert rows and built <= fraud._table_bytes(n) <= 1.5 * built
+    assert rows and built <= fraud._table_bytes(1 << (n - 1)) <= 1.5 * built
 
 
 @pytest.mark.skipif(fraud.resource is None, reason="no address-space limit to read")
@@ -398,15 +399,26 @@ def test_table_too_large_for_the_address_space_is_refused(monkeypatch):
     for workers in (1, 2):  # refused in the parent, before any worker starts
         with pytest.raises(ResourceLimitError, match=want):
             expected_max_tree(12, workers=workers)
+    # the fan-tree recursion checks the min(m << (n-1), x-1) + 1 rows it reads
+    want = ("^m = 1, n = 12, x = 2049 needs about 1594 MiB for its binomial "
+            "table, above the address-space limit of 390 MiB$")
+    with pytest.raises(ResourceLimitError, match=want):
+        recursive_prob(1, 12, 2049)
+    with pytest.raises(ResourceLimitError, match="^m = 4000, n = 1, x = 4001 needs"):
+        base_case_prob(4000, 4001)
     assert built == []
     # a table at the cap is built, the next larger one is refused
-    cap = fraud._table_bytes(5)
-    assert expected_max_tree(5).rounds == 5
+    cap = fraud._table_bytes(16)
+    tree = expected_max_tree(5)
+    assert tree.rounds == 5
+    assert recursive_prob(1, 5, 16) == tree.cdf.prob_below(16)
     with pytest.raises(ResourceLimitError, match="^n = 6 needs about 0 MiB"):
         expected_max_tree(6)
+    with pytest.raises(ResourceLimitError, match="^m = 1, n = 5, x = 17 needs"):
+        recursive_prob(1, 5, 17)
     cap = resource.RLIM_INFINITY
     assert expected_max_tree(6).rounds == 6
-    assert built == [15, 31]
+    assert built == [15, 15, 31]
 
 
 # -- brute force --------------------------------------------------------------------
@@ -427,15 +439,18 @@ def max_occurrence_oracle(walks, labeling_bits: int) -> int:
     return best
 
 
-def assert_scorer_matches_oracle(g, start, n, labelings):
+def assert_scorer_matches_oracle(monkeypatch, g, start, n, labelings):
+    # each path of the scorer's switch, forced in turn
     walks = walks_from(g, start, n + 1)
-    score = fraud._occurrence_scorer(walks, g.vertex_count)
-    for bits in labelings:
-        assert score(bits) == max_occurrence_oracle(walks, bits), (walks, bits)
+    for gathers in SCORER_PATHS.values():
+        monkeypatch.setattr(walks_module, "_gathers", gathers)
+        score = fraud._scores(g, start, n, Limits())
+        for bits in labelings:
+            assert score(bits) == max_occurrence_oracle(walks, bits), (walks, bits)
     return len(walks)
 
 
-def test_scorer_matches_oracle_on_random_graphs():
+def test_scorer_matches_oracle_on_random_graphs(monkeypatch):
     rng = random.Random(61)
     walk_counts = Counter()
     for _ in range(400):
@@ -450,18 +465,19 @@ def test_scorer_matches_oracle_on_random_graphs():
                 brute_force_expected_max(g, start, n)
             walk_counts[0] += 1
             continue
-        walk_counts[min(assert_scorer_matches_oracle(g, start, n, labelings), 2)] += 1
+        walk_counts[min(assert_scorer_matches_oracle(monkeypatch, g, start, n,
+                                                     labelings), 2)] += 1
     # dead ends (no full walk, refused), a single walk, and more
     assert walk_counts[0] and walk_counts[1] and walk_counts[2]
 
 
 @pytest.mark.parametrize("g, n", [(make_tree(n), n) for n in range(1, 7)]
                          + [(make_poulidor(n), n) for n in range(2, 9)])
-def test_scorer_matches_oracle_on_protocol_graphs(g, n):
+def test_scorer_matches_oracle_on_protocol_graphs(monkeypatch, g, n):
     rng = random.Random(n)
     nv = g.vertex_count
     labelings = [0, (1 << nv) - 1] + [rng.getrandbits(nv) for _ in range(200)]
-    assert_scorer_matches_oracle(g, 0, n, labelings)
+    assert_scorer_matches_oracle(monkeypatch, g, 0, n, labelings)
 
 
 def test_brute_force_equals_the_sum_over_every_labeling():

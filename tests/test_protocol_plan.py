@@ -1,12 +1,13 @@
-"""The per-config session plan answers early-reply sessions exactly as the
-most-frequent-sequence solver does, and refuses at the same point."""
+"""The per-config scorer answers early-reply sessions exactly as the
+most-frequent-sequence solver does, on either side of its switch, and
+refuses at the same point."""
 
 import pickle
 import random
 
 import pytest
 
-from conftest import random_binary_graph
+from conftest import SCORER_PATHS, random_binary_graph
 from mfskit import (
     LabeledDigraph,
     Limits,
@@ -21,7 +22,7 @@ from mfskit import (
     most_frequent_sequence,
     run_session,
 )
-from mfskit import protocol
+from mfskit import protocol, walks
 from mfskit.errors import ResourceLimitError
 
 LIMITS = Limits()
@@ -54,24 +55,29 @@ def _plan_cases():
         yield g, rng.randrange(g.vertex_count), rng.randint(1, 4)
 
 
-def test_plan_replies_match_oracle():
+def test_plan_replies_match_oracle(monkeypatch):
     rng = random.Random(5)
     seen = {"no-walk": 0, "tie": 0, "custom": 0, "prf": 0}
     for graph, start, rounds in _plan_cases():
-        plan = ProtocolConfig(graph=graph, start=start, rounds=rounds).session_plan
         labelings = [("prf", label_graph_from_prf(graph, b"key", *_nonces(rng)))
                      for _ in range(6)]
         labelings += [("custom", _random_labels(graph, alphabet, rng))
                       for alphabet in [("0", "1"), ("a", "b", "c")] for _ in range(3)]
-        for kind, labeled in labelings:
-            # a walk list is kept for every case here but the walk-free ones
-            assert plan.fits(labeled) == (plan.keys is not None) == (plan.walks > 0)
-            want = _oracle(labeled, start, rounds)
-            assert plan.early_replies(labeled, LIMITS) == want
-            seen[kind] += 1
-            seen["no-walk"] += plan.walks == 0
-            ties = most_frequent_sequence(labeled, start, rounds + 1).tie_count
-            seen["tie"] += ties > 1
+        for path, gathers in SCORER_PATHS.items():
+            monkeypatch.setattr(walks, "_gathers", gathers)
+            config = ProtocolConfig(graph=graph, start=start, rounds=rounds)
+            scorer = config.scorer
+            # a walk list is kept on the gather side for every case but the
+            # walk-free ones
+            assert (scorer.keys is not None) == (path == "gather" and scorer.walks > 0)
+            for kind, labeled in labelings:
+                assert scorer.fits(labeled)
+                want = _oracle(labeled, start, rounds)
+                assert protocol._replies_for(early_reply(), labeled, config, LIMITS) == want
+                seen[kind] += 1
+                seen["no-walk"] += scorer.walks == 0
+                ties = most_frequent_sequence(labeled, start, rounds + 1).tie_count
+                seen["tie"] += ties > 1
     assert all(seen.values()), seen
 
 
@@ -91,7 +97,7 @@ def _transcript_replies(config, trials):
 def test_sessions_reply_with_the_oracle(graph, rounds):
     config = ProtocolConfig(graph=graph, start=0, rounds=rounds, seed=7)
     for labeled, replies in _transcript_replies(config, 200):
-        assert config.session_plan.fits(labeled)
+        assert config.scorer.fits(labeled)
         assert replies == _oracle(labeled, 0, rounds)
 
 
@@ -125,7 +131,7 @@ def _count_solves(monkeypatch):
         solved.append(args[0])
         return most_frequent_sequence(*args, **kwargs)
 
-    monkeypatch.setattr(protocol, "most_frequent_sequence", counting)
+    monkeypatch.setattr(walks, "most_frequent_sequence", counting)
     return solved
 
 
@@ -136,7 +142,7 @@ def test_labelings_outside_the_plan_use_the_solver(monkeypatch, labeler):
     config = ProtocolConfig(graph=make_poulidor(5), start=0, rounds=5, trials=60,
                             seed=2, labeler=labeler)
     for labeled, replies in _transcript_replies(config, 60):
-        assert not config.session_plan.fits(labeled)
+        assert not config.scorer.fits(labeled)
         assert replies == _oracle(labeled, 0, 5)
     assert len(solved) == 60
     estimate_success_rate(config, early_reply())
@@ -175,9 +181,9 @@ def test_seq_mode_labelings_stay_on_the_plan(monkeypatch, graph, rounds, labeler
     config = ProtocolConfig(graph=graph, start=0, rounds=rounds, trials=60,
                             seed=2, labeler=labeler)
     for labeled, replies in _transcript_replies(config, 60):
-        walks = count_walks(labeled, 0, rounds + 1)
-        assert walks > len(labeled.alphabet) ** (rounds + 1)  # the candidates are checked
-        assert config.session_plan.fits(labeled)
+        total = count_walks(labeled, 0, rounds + 1)
+        assert total > len(labeled.alphabet) ** (rounds + 1)  # the candidates are checked
+        assert config.scorer.fits(labeled)
         assert replies == _oracle(labeled, 0, rounds)
     estimate_success_rate(config, early_reply())
     assert solved == []
@@ -199,12 +205,27 @@ def test_seq_mode_refusal_matches_the_solver():
 
 
 def test_walk_lists_over_the_cap_use_the_solver(monkeypatch):
-    monkeypatch.setattr(protocol, "_PLAN_MAX_WALKS", 15)
+    monkeypatch.setattr(walks, "_gathers", SCORER_PATHS["search"])
     config = ProtocolConfig(graph=make_tree(4), start=0, rounds=4, seed=3)
-    assert config.session_plan.keys is None
+    assert config.scorer.keys is None
+
+    def refuse(*args):
+        raise AssertionError("walks listed")
+
+    monkeypatch.setattr(walks, "walks_from", refuse)
     for labeled, replies in _transcript_replies(config, 50):
-        assert not config.session_plan.fits(labeled)
+        assert config.scorer.fits(labeled)
         assert replies == _oracle(labeled, 0, 4)
+
+
+def test_the_switch_follows_the_frontier_states():
+    # trees gather; a ring gathers up to n = 7 and searches from n = 8
+    assert ProtocolConfig(graph=make_tree(10), start=0, rounds=10).scorer.keys
+    for n, gathers in [(6, True), (7, True), (8, False), (12, False)]:
+        scorer = ProtocolConfig(graph=make_poulidor(n), start=0, rounds=n).scorer
+        assert (scorer.keys is not None) == gathers, n
+    assert walks._gathers(1 << 16, 1 << 15) and not walks._gathers((1 << 16) + 1, 1 << 20)
+    assert not walks._gathers(0, 1)
 
 
 def test_config_pickles_after_sessions():

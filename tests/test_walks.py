@@ -10,6 +10,7 @@ from mfskit import (
     LabeledDigraph,
     LabelingConflictError,
     Limits,
+    MfsResult,
     ResourceLimitError,
     complementary_sibling_labeling,
     count_walks,
@@ -22,7 +23,7 @@ from mfskit import (
     reduce_sat_to_mfs,
 )
 from mfskit import walks
-from conftest import random_binary_graph
+from conftest import SCORER_PATHS, random_binary_graph
 
 # the binary alphabet, then three symbols declared out of order, with "10"
 # next to "1" so that the tie-break must compare whole symbols
@@ -229,6 +230,81 @@ def test_enumeration_and_solver_refuse_alike(example_tree):
                                                          limits=limits)) == want
         refused.add(want and want.split()[1])
     assert refused == {None, "walks", "candidate"}
+
+
+# -- the one scorer per structure --------------------------------------------------
+
+def _scorer_cases(rng):
+    def limits():
+        if rng.getrandbits(1):
+            return Limits()
+        return Limits(max_walks=rng.randint(1, 40), max_sequences=rng.randint(1, 40))
+
+    for n in range(1, 7):
+        yield make_tree(n), 0, n + 1, limits()
+    for n in range(2, 10):
+        yield make_poulidor(n), 0, n + 1, limits()
+    for m, n in product((1, 2, 3), (1, 2, 3)):
+        yield make_generalized_tree(m, n), 0, n + 1, limits()
+        # 3 * 2**(n-1) walks against 2**n binary candidates for m = 3
+        yield make_generalized_tree(m, n), 0, n + 1, Limits(max_sequences=2**n)
+    for _ in range(300):
+        g = random_binary_graph(rng, max_vertices=9)
+        yield g, rng.randrange(g.vertex_count), rng.randint(1, 6), limits()
+
+
+def _attempt(call):
+    try:
+        return call()
+    except (GraphError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def test_scorer_paths_agree(monkeypatch):
+    rng = random.Random(83)
+    seen = Counter()
+    for g, start, k, limits in _scorer_cases(rng):
+        nv = g.vertex_count
+        bits = [0, (1 << nv) - 1] + [rng.getrandbits(nv) for _ in range(6)]
+        labeled = [g.with_labels(tuple(format(b | 1 << nv, "b")[:0:-1])) for b in bits]
+        labeled += [
+            LabeledDigraph(("a", "b", "c"), tuple(rng.choice("abc") for _ in range(nv)),
+                           g.out_edges),
+            LabeledDigraph(("a",), ("a",) * nv, g.out_edges),  # one candidate
+        ]
+        default = walks.MfsScorer(g, start, k)
+        if default.walks:
+            seen["default-" + ("gather" if default.keys else "search")] += 1
+        answers = {}
+        for path, gathers in SCORER_PATHS.items():
+            monkeypatch.setattr(walks, "_gathers", gathers)
+            scorer = walks.MfsScorer(g, start, k)
+            gathered = path == "gather" and scorer.walks > 0 and k > 1
+            assert (scorer.keys is not None) == gathered
+            assert all(map(scorer.fits, labeled))
+            answers[path] = (
+                _attempt(lambda: list(map(scorer.counter(limits), bits))),
+                [_attempt(lambda: scorer.best(h, limits)) for h in labeled],
+            )
+        assert answers["gather"] == answers["search"]
+        # both equal the solver on each labeled graph
+        counts, best = answers["gather"]
+        solved = [_attempt(lambda: most_frequent_sequence(h, start, k, limits=limits))
+                  for h in labeled]
+        assert best == [r.sequence if isinstance(r, MfsResult) else r for r in solved]
+        binary = solved[:len(bits)]
+        if not scorer.walks:
+            want = (GraphError, f"no walk of {k} vertices starts at vertex {start}")
+            kind = "no-walk"
+        elif isinstance(binary[0], MfsResult):
+            want, kind = [r.count for r in binary], "counted"
+        else:  # refused by its walks or its candidate sequences
+            want, kind = binary[0], binary[0][1].split()[1]
+        assert counts == want
+        seen[kind] += 1
+        monkeypatch.undo()
+    assert seen.keys() == {"default-gather", "default-search", "no-walk", "walks",
+                           "candidate", "counted"} and all(seen.values()), seen
 
 
 def test_mfs_rejects_bad_length(example_tree):

@@ -226,8 +226,13 @@ def _cmd_df_mc(args) -> int:
 
 
 def _df_graph(args):
+    """The graph of df brute, df mc and simulate; a file must be binary."""
     if args.graph is not None:
-        return read_graph(args.graph)
+        graph = read_graph(args.graph)
+        check = validate_binary_instance(graph)
+        if not check.ok:
+            raise MfskitError("; ".join(check.violations))
+        return graph
     make = make_tree if args.protocol == "tree" else make_poulidor
     return make(args.rounds)
 
@@ -246,7 +251,7 @@ def _cmd_reduce(args) -> int:
     }
     if args.verify:  # before any output, so a refused check leaves none
         verdict = verify_reduction(formula, limits=limits, reduction=r)
-        walks = check_maximal_walks(r, limits=limits)
+        walks = check_maximal_walks(r)
     _write_or_print(args, graph_json_text(r.graph, {"roles": roles, "params": params}))
     if args.verify:
         summary = {
@@ -277,13 +282,8 @@ def _key_from_args(raw: str | None) -> bytes:
 
 def _cmd_simulate(args) -> int:
     limits = _limits_from_args(args)
-    graph = _df_graph(args)
-    if args.graph is not None:
-        check = validate_binary_instance(graph)
-        if not check.ok:
-            raise MfskitError("; ".join(check.violations))
     config = ProtocolConfig(
-        graph=graph,
+        graph=_df_graph(args),
         start=args.start,
         rounds=args.rounds,
         key=_key_from_args(args.key),
@@ -326,9 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, holder in limit.items():
         holder.add_argument(f"--{name.replace('_', '-')}", type=int, default=None,
                             help=f"override the {name} limit")
-    # the graph that df brute, df mc and simulate run on, and what all three read
+    # the graph that df brute, df mc and simulate run on, and what all three
+    # read; its at most 2^(k-1) walks of k vertices never outnumber the 2^k
+    # candidate sequences, so max_sequences cannot bind
     on_graph = argparse.ArgumentParser(
-        add_help=False, parents=[fmt, limit["max_walks"], limit["max_sequences"]])
+        add_help=False, parents=[fmt, limit["max_walks"]])
     source = on_graph.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", help="graph JSON file")
     source.add_argument("--protocol", choices=("tree", "poulidor"))
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100000)
     p.set_defaults(func=_cmd_df_mc)
 
-    p = sub.add_parser("reduce", parents=[limit["max_walks"], limit["max_sequences"]],
+    p = sub.add_parser("reduce", parents=[limit["max_walks"]],
                        help="SAT to frequency-gadget reduction")
     p.add_argument("cnf", help="DIMACS CNF file")
     p.add_argument("--out", default=None, help="output graph file")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cnf import CnfFormula, brute_force_sat, satisfies
-from .errors import DEFAULT_LIMITS, Limits, ReductionError, ResourceLimitError
+from .errors import DEFAULT_LIMITS, Limits, ReductionError
 from .graphs import LabeledDigraph
 from .walks import _frontiers, most_frequent_sequence
 
@@ -139,7 +139,9 @@ def reduce_sat_to_mfs(f: CnfFormula) -> ReductionOutput:
 
 @dataclass(frozen=True)
 class WalkLengthVerdict:
-    """Outcome of checking the two admissible maximal-walk shapes."""
+    """Outcome of checking the two admissible maximal-walk shapes: the
+    walks of each shape, and one offender per (edges, end vertex) that
+    fits neither, with its walk count."""
 
     ok: bool
     full_walks: int
@@ -147,12 +149,12 @@ class WalkLengthVerdict:
     offenders: tuple[str, ...] = ()
 
 
-def check_maximal_walks(
-    r: ReductionOutput, *, limits: Limits = DEFAULT_LIMITS
-) -> WalkLengthVerdict:
+def check_maximal_walks(r: ReductionOutput) -> WalkLengthVerdict:
     """Verify every maximal walk from the root either spans the full target
     (ending at the last backbone pair) or stops one position short at a lane
-    dead end, and that a full walk exists; longer walks (cycles) offend."""
+    dead end, and that a full walk exists; longer walks (cycles) offend.
+    Walks are counted per (edges, end vertex), never listed: the memory is
+    one count level, however many walks there are."""
     g = r.graph
     n, depth = r.params.variable_count, r.params.tree_depth
     full_len = n + depth  # edges
@@ -164,25 +166,19 @@ def check_maximal_walks(
         for v, c in counts.items():
             if g.out_edges[v] and length <= full_len:
                 continue
-            seen = full + dead + len(offenders) + c
-            if seen > limits.max_walks:
-                raise ResourceLimitError(
-                    "maximal-walk enumeration exceeds limit max_walks="
-                    f"{limits.max_walks}: at least {seen} maximal walks"
-                )
             role = r.roles[v]
             if length > full_len:
-                offenders += [f"walk of more than {full_len} edges reaches {role}"] * c
+                offenders.append(
+                    f"walks of more than {full_len} edges reaching {role}: {c}")
             elif length == full_len and role in tail:
                 full += c
             elif length == full_len - 1 and role not in tail:
                 dead += c
             else:
-                offenders += [f"walk of {length} edges ends at {role}"] * c
-    ok = not offenders and full > 0
+                offenders.append(f"walks of {length} edges ending at {role}: {c}")
     if full == 0:
         offenders.append("no full-length walk reaches the backbone tail")
-    return WalkLengthVerdict(ok, full, dead, tuple(offenders))
+    return WalkLengthVerdict(not offenders, full, dead, tuple(offenders))
 
 
 def extract_assignment(

@@ -174,16 +174,6 @@ def test_df_on_rings_past_the_switch_lists_no_walks(capsys, monkeypatch, argv, g
     assert run(capsys, argv).out == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize("method", ["brute", "mc"])
-def test_df_refuses_candidates_on_out_degree_three(capsys, tmp_path, method):
-    # 27 walks of 4 vertices outnumber the 2^4 candidate sequences
-    graph = tmp_path / "g.json"
-    write_graph(LabeledDigraph(("0", "1"), ("0",) * 3, ((0, 1, 2),) * 3), graph)
-    out = run(capsys, ["df", method, "--graph", str(graph), "-n", "3", "--max-walks", "1",
-                       "--max-sequences", "15"], expect=EXIT_RESOURCE)
-    assert out.err == "error: 2^4 candidate sequences exceed the limit 15\n"
-
-
 def test_df_sweep_csv(capsys):
     out = run(capsys, ["df", "exact-tree", "--sweep", "1:3", "--format", "csv"])
     lines = out.out.strip().splitlines()
@@ -229,12 +219,14 @@ def test_df_exact_rejects_graph_flags(capsys, flag, value):
     (["df", "exact-tree", "-n", "3", "--float", "--threads", "2"], "--threads"),
     (["mfs", str(GOLDEN / "tree_n2.json"), "--length", "3", "--mode", "walk"], "--mode"),
     (["df", "exact-tree", "--sweep", "3"], "--sweep: expected LO:HI, got '3'"),
+    (["df", "brute", "--protocol", "tree", "-n", "2", "--max-sequences", "4"],
+     "--max-sequences"),
 ], ids=["brute-sweep", "brute-float", "mc-force", "exact-samples", "exact-start",
         "exact-n-and-sweep", "tree-fan", "graph-and-protocol", "reversed-sweep",
         "generate-format", "reduce-seed", "brute-threads", "generate-max-walks",
         "mc-max-exact-rounds", "mfs-max-exact-rounds", "simulate-max-brute-vertices",
         "exact-force", "labels-and-seed", "float-and-threads", "mfs-mode",
-        "sweep-without-colon"])
+        "sweep-without-colon", "brute-max-sequences"])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv, flag):
     out = run(capsys, argv, expect=EXIT_INPUT)
     assert out.out == ""
@@ -249,12 +241,11 @@ LEAF_OPTIONS = {
     ("mfs",): "--start --length --format --max-walks --max-sequences",
     ("df", "exact-tree"): "-n --sweep --float --threads --format --max-exact-rounds",
     ("df", "brute"): "--graph --protocol --start -n --format --max-walks "
-                     "--max-sequences --max-brute-vertices",
-    ("df", "mc"): "--graph --protocol --start -n --samples --seed --format --max-walks "
-                  "--max-sequences",
-    ("reduce",): "--out --verify --max-walks --max-sequences",
+                     "--max-brute-vertices",
+    ("df", "mc"): "--graph --protocol --start -n --samples --seed --format --max-walks",
+    ("reduce",): "--out --verify --max-walks",
     ("simulate",): "--graph --protocol --start -n --trials --adversary --key "
-                   "--transcripts --seed --format --max-walks --max-sequences",
+                   "--transcripts --seed --format --max-walks",
 }
 
 
@@ -274,7 +265,7 @@ def test_each_command_takes_only_the_flags_it_reads():
         for path, leaf in _leaves(build_parser())
     }
     assert options == {path: set(flags.split()) for path, flags in LEAF_OPTIONS.items()}
-    assert sum(map(len, options.values())) == 57
+    assert sum(map(len, options.values())) == 53
 
 
 def test_one_parser_serves_every_call(capsys):
@@ -554,13 +545,47 @@ def test_simulate_matches_golden(capsys):
     assert out.out == (GOLDEN / "simulate_tree_n2.json").read_text()
 
 
-def test_simulate_graph_must_be_binary(capsys, tmp_path):
+def _ab_tree():
     tree = read_graph(GOLDEN / "tree_n2.json")
-    path = tmp_path / "ab.json"
     labels = tuple({"0": "a", "1": "b"}[lab] for lab in tree.labels)
-    write_graph(LabeledDigraph(("a", "b"), labels, tree.out_edges), path)
-    out = run(capsys, ["simulate", "--graph", str(path), "-n", "2"], expect=EXIT_INPUT)
-    assert (out.out, out.err) == ("", "error: alphabet ['a', 'b'] is not ['0', '1']\n")
+    return LabeledDigraph(("a", "b"), labels, tree.out_edges)
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["df", "brute"], ["df", "mc"]],
+                         ids=["simulate", "df-brute", "df-mc"])
+@pytest.mark.parametrize("graph, err", [
+    (_ab_tree, "alphabet ['a', 'b'] is not ['0', '1']"),
+    # more walks than 2^n: M could exceed 2^n, so the file is refused up front
+    (lambda: LabeledDigraph(("0", "1"), ("0",) * 3, ((0, 1, 2),) * 3),
+     "; ".join(f"vertex {v} has out-degree 3 > 2" for v in range(3))),
+], ids=["alphabet", "out-degree"])
+def test_graph_must_be_binary(capsys, tmp_path, command, graph, err):
+    path = tmp_path / "g.json"
+    write_graph(graph(), path)
+    out = run(capsys, [*command, "--graph", str(path), "-n", "2"], expect=EXIT_INPUT)
+    assert (out.out, out.err) == ("", f"error: {err}\n")
+
+
+def test_max_sequences_cannot_bind_on_binary_instances(capsys, monkeypatch):
+    # at most 2^(k-1) walks of k vertices against 2^k candidate sequences:
+    # the smallest sequence limit changes no output of these commands
+    monkeypatch.setenv("MFSKIT_MAX_SEQUENCES", "1")
+    simulate = ["simulate", "--adversary", "early-reply", "--trials"]
+    for argv, golden in [
+        (["df", "brute", "--protocol", "poulidor", "-n", "6"], "df_brute_poulidor_n6.json"),
+        (["df", "mc", "--protocol", "tree", "-n", "6", "--samples", "4000", "--seed", "3"],
+         "df_mc_tree_n6.json"),
+        (["df", "mc", "--protocol", "poulidor", "-n", "12", "--samples", "200",
+          "--seed", "1"], "df_mc_poulidor_n12.json"),
+        ([*simulate, "500", "--protocol", "tree", "-n", "2", "--seed", "9"],
+         "simulate_tree_n2.json"),
+        ([*simulate, "300", "--protocol", "poulidor", "-n", "6", "--seed", "3"],
+         "simulate_poulidor_n6.json"),
+    ]:
+        assert run(capsys, argv).out == (GOLDEN / golden).read_text()
+    out = run(capsys, ["reduce", str(GOLDEN / "reduce_cnf_5v7c.cnf"), "--verify"])
+    assert out.out == (GOLDEN / "reduce_cnf_5v7c.json").read_text()
+    assert out.err == (GOLDEN / "reduce_cnf_5v7c_verify.json").read_text()
 
 
 @pytest.mark.parametrize("argv, code, err", [

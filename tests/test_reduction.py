@@ -11,7 +11,6 @@ from mfskit import (
     ReductionError,
     ReductionOutput,
     ReductionParams,
-    ResourceLimitError,
     WalkLengthVerdict,
     brute_force_sat,
     build_leaf_tree,
@@ -246,51 +245,46 @@ def test_maximal_walk_counts_match_per_walk_oracle():
                 c for (n, role), c in ends.items() if n == full_len and role in tail)
             assert verdict.dead_end_walks == sum(
                 c for (n, role), c in ends.items() if n == full_len - 1 and role not in tail)
-            expected = Counter({
-                f"walk of {n} edges ends at {role}": c
+            expected = [
+                f"walks of {n} edges ending at {role}: {c}"
                 for (n, role), c in ends.items()
                 if not (n == full_len and role in tail)
                 and not (n == full_len - 1 and role not in tail)
-            })
+            ]
             if verdict.full_walks == 0:
-                expected["no full-length walk reaches the backbone tail"] += 1
-            assert Counter(verdict.offenders) == expected
+                expected.append("no full-length walk reaches the backbone tail")
+            assert sorted(verdict.offenders) == sorted(expected)
             assert verdict.ok == (not expected)
-            total = sum(ends.values())
-            assert check_maximal_walks(case, limits=Limits(max_walks=total)) == verdict
-            with pytest.raises(ResourceLimitError, match="exceeds limit"):
-                check_maximal_walks(case, limits=Limits(max_walks=total - 1))
-
-
-def test_maximal_walk_refusal_names_the_limit(example_formula):
-    r = reduce_sat_to_mfs(example_formula)
-    # one dead end of 4 edges, then 19 full walks, 8 of them to one end
-    assert sum(maximal_walk_ends(r).values()) == 20
-    for limit, seen in [(19, 20), (3, 9), (1, 9)]:
-        with pytest.raises(ResourceLimitError) as info:
-            check_maximal_walks(r, limits=Limits(max_walks=limit))
-        assert str(info.value) == ("maximal-walk enumeration exceeds limit "
-                                   f"max_walks={limit}: at least {seen} maximal walks")
 
 
 def test_maximal_walks_on_a_cycle_are_bounded():
     # no walk on a Poulidor ring ever ends: the check stops one edge past
-    # the full length of 2 edges and names the 8 walks still going there
+    # the full length of 2 edges and counts the 8 walks still going there
     ring = make_poulidor(3, seed=0)
     r = ReductionOutput(ring, tuple(f"p_{v}" for v in range(6)),
                         ReductionParams(2, 1, 0, 3))
-    verdict = check_maximal_walks(r)
-    over = "walk of more than 2 edges reaches p_{}".format
-    assert verdict == WalkLengthVerdict(
+    over = "walks of more than 2 edges reaching p_{}: {}".format
+    assert check_maximal_walks(r) == WalkLengthVerdict(
         False, 0, 0,
-        (over(3), *[over(4)] * 3, *[over(5)] * 3, over(0),
+        (over(3, 1), over(4, 3), over(5, 3), over(0, 1),
          "no full-length walk reaches the backbone tail"))
-    assert check_maximal_walks(r, limits=Limits(max_walks=8)) == verdict
-    for limit, seen in [(7, 8), (3, 4)]:
-        with pytest.raises(ResourceLimitError) as info:
-            check_maximal_walks(r, limits=Limits(max_walks=limit))
-        assert str(info.value) == ("maximal-walk enumeration exceeds limit "
-                                   f"max_walks={limit}: at least {seen} maximal walks")
+
+
+def test_maximal_walks_past_any_walk_limit_are_counted():
+    # 2^27 walks go one edge past a full length of 26 edges on a 24-vertex
+    # ring; they are counted per end vertex, not listed, and nothing refuses
+    ring = make_poulidor(12, seed=0)
+    r = ReductionOutput(ring, tuple(f"p_{v}" for v in range(24)),
+                        ReductionParams(26, 1, 0, 27))
+    verdict = check_maximal_walks(r)
+    assert (verdict.ok, verdict.full_walks, verdict.dead_end_walks) == (False, 0, 0)
+    *over, last = verdict.offenders
+    assert last == "no full-length walk reaches the backbone tail"
+    assert len(over) == ring.vertex_count
+    prefix = "walks of more than 26 edges reaching p_"
+    assert all(line.startswith(prefix) for line in over)
+    assert sum(int(line.rpartition(": ")[2]) for line in over) == 2**27
+    assert 2**27 > Limits().max_walks
 
 
 def test_determinism(example_formula):

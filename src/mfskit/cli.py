@@ -199,8 +199,7 @@ def _cmd_df_exact(args) -> int:
     limits = _limits_from_args(args)
     lo, hi = args.sweep or (args.rounds, args.rounds)
     check_round_limit(hi, limits)
-    if not args.float:
-        check_table_size(1 << (hi - 1), f"n = {hi}")  # the largest, first
+    check_table_size(1 << (hi - 1), f"n = {hi}", not args.float)  # the largest, first
     payload = [_df_report(n, limits, args) for n in range(lo, hi + 1)]
     _emit(args, payload if args.sweep else payload[0])
     return EXIT_OK
@@ -238,6 +237,8 @@ def _df_graph(args):
 
 
 def _cmd_reduce(args) -> int:
+    if args.max_walks is not None and not args.verify:
+        raise MfskitError("--max-walks is read only with --verify")
     limits = _limits_from_args(args)
     with open(args.cnf, "r", encoding="utf-8") as fh:
         formula = parse_dimacs(fh.read())

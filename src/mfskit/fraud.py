@@ -9,17 +9,19 @@ children are labeled 0 splits the tree into two independent halves one
 level down, which yields a recursion on threshold probabilities
 Pr(M(m, n) < x) with closed-form values at depth 1.
 
-One bottom-up level sweep (`_level_sweep`) evaluates that recursion for
-every caller: the fan tree (`recursive_prob`, `base_case_prob`), the full
-binary tree behind `expected_max_tree`, and float mode.  The arithmetic
-is a parameter of the sweep.
+One bottom-up level sweep (`_level_sweep`) evaluates that recursion; one
+helper (`_sweep`) builds the table a set of thresholds reads and sweeps
+each.  It serves the fan tree (`recursive_prob`, `base_case_prob`) and the
+one tree driver, `_tree_cdf`, behind `expected_max_tree` and float mode,
+with the arithmetic, exact integers or floats, as the only parameter.
 
 The full binary tree needs no sweep above x = 2**(n-1).  The occurrence
 count of one sequence is generation n of the critical Galton-Watson
 process Z with Bin(2, 1/2) offspring, and the 2**n walks leave room for
 at most one sequence past 2**(n-1), so there Pr(M >= x) =
-2**n * Pr(Z_n >= x) exactly (`_one_sequence_tail`).  Exact mode sweeps
-x = 1 .. 2**(n-1) and reads the rest from the pmf of Z_n.
+2**n * Pr(Z_n >= x) exactly (`_one_sequence_tail`).  The tree driver
+sweeps x = 1 .. 2**(n-1) in either arithmetic and reads the rest from the
+pmf of Z_n, rounded once to a float in float mode.
 
 The paper's O(2**(2n) * n) bound counts recursion states (x, level, m).
 Here each state is a convolution of up to m pair terms, so the pair terms
@@ -37,8 +39,8 @@ c_1 = 2 and c_n = 2*c_{n-1} + 2; that exponent is linear in m, which makes
 the recursion pure integer arithmetic with no normalization.  Exact results
 leave as `DyadicProbability`, that numerator and exponent in lowest terms;
 callers do arithmetic on them through `as_fraction()`.  Float mode runs
-the same sweep on the pmf rows C(k, i) / 2**k, where the powers of two are
-already divided out and probability one is 1.0.
+the same sweep on the pmf rows C(2m, i) / 2**(2m), where the powers of two
+are already divided out and probability one is 1.0.
 
 Two exact facts prune the state space: M(m, n) >= m always, so the
 probability is 0 when x <= m; and M(m, n) <= m * 2**n with equality on the
@@ -102,6 +104,19 @@ def _binom_rows(mmax: int):
         row = [1] * (m + 1)
         for i in range(1, m + 1):
             row[i] = row[i - 1] * (2 * m - i + 1) // i
+        rows.append(_with_sums(row))
+    return rows
+
+
+def _pmf_rows(mmax: int):
+    # the rows of _binom_rows over 2**(2m) as floats, each half row built by
+    # ratio steps down from the mode so no value underflows before it has to
+    rows = []
+    for m in range(mmax + 1):
+        row = [0.0] * (m + 1)
+        row[m] = float(Fraction(comb(2 * m, m), 1 << (2 * m)))
+        for i in range(m, 0, -1):
+            row[i - 1] = row[i] * i / (2 * m - i + 1)
         rows.append(_with_sums(row))
     return rows
 
@@ -189,21 +204,21 @@ def recursive_prob(m: int, n: int, x: int) -> DyadicProbability:
     """Exact Pr(M(m, n) < x) for the fan tree with 2m root children."""
     if m < 0 or n < 1 or x < 1:
         raise ValueError("need m >= 0, n >= 1 and x >= 1")
-    mmax = min(m << (n - 1), x - 1)  # the last row the sweep reads
-    check_table_size(mmax + 1, f"m = {m}, n = {n}, x = {x}")
-    rows = _binom_rows(mmax)
-    numer = _level_sweep(m, n, x, rows, lshift)
+    check_table_size(min(m << (n - 1), x - 1) + 1, f"m = {m}, n = {n}, x = {x}")
+    [numer] = _sweep((m, n, range(x, x + 1), True))
     return DyadicProbability(numer, _level_exponent(n) * m)
 
 
-def _sweep_stride(args: tuple[int, int, int]) -> list[int]:
-    # thresholds x = 1 + first, 1 + first + step, ... <= 2**(n-1), one table
-    # per call; its rows 0 .. 2**(n-1) - 1 are all those sweeps read
-    n, first, step = args
-    half = 1 << (n - 1)
-    rows = _binom_rows(half - 1)
-    xs = range(1 + first, half + 1, step)
-    return [_level_sweep(1, n, x, rows, lshift) for x in xs]
+def _sweep(args: tuple[int, int, range, bool]) -> list:
+    """Pr(M(m_top, n) < x) for each x of the ascending range `xs`, over one
+    table of the rows m <= min(m_top * 2**(n-1), max(xs) - 1) they read:
+    numerators over 2**(c_n * m_top) if `exact`, else floats from pmf rows,
+    where scaling by a power of two is the identity."""
+    m_top, n, xs, exact = args
+    mmax = min(m_top << (n - 1), xs[-1] - 1)
+    rows = _binom_rows(mmax) if exact else _pmf_rows(mmax)
+    scale = lshift if exact else (lambda v, e: v)
+    return [_level_sweep(m_top, n, x, rows, scale) for x in xs]
 
 
 def _one_sequence_pmf(n: int) -> list[int]:
@@ -262,23 +277,26 @@ def check_round_limit(n: int, limits: Limits) -> None:
         )
 
 
-def _table_bytes(rows: int) -> int:
-    # about the size of binomial table rows m < `rows`, each with m+1
-    # binomials and m+1 prefix sums below 2**(2m); each value one list slot
-    # (8 bytes) and one int of 24 bytes plus 4 per 30-bit digit
-    return sum(2 * (m + 1) * (32 + 4 * max(1, -(-2 * m // 30)))
-               for m in range(rows))
+def _table_bytes(rows: int, exact: bool = True) -> int:
+    # about the size of table rows m < `rows`, each with m+1 binomials and
+    # m+1 prefix sums, each one list slot (8 bytes) and an int of 24 bytes
+    # plus 4 per 30-bit digit (below 2**(2m)) or a float of 24 bytes; a float
+    # row adds 1/8 slot of list growth per value and 224 bytes of headers
+    if exact:
+        return sum(2 * (m + 1) * (32 + 4 * max(1, -(-2 * m // 30)))
+                   for m in range(rows))
+    return 65 * rows * (rows + 1) // 2 + 224 * rows
 
 
-def check_table_size(rows: int, what: str) -> None:
-    """Refuse a binomial table of `rows` rows for `what` that would not fit
-    under the soft address-space limit (RLIMIT_AS), before any of it is
-    built.  A sweep at n reads 2**(n-1) rows; its workers build the same
-    table under the same limit, so one check covers them all."""
+def check_table_size(rows: int, what: str, exact: bool = True) -> None:
+    """Refuse a binomial table of `rows` rows for `what`, exact or float,
+    that would not fit under the soft address-space limit (RLIMIT_AS),
+    before any of it is built.  A sweep's workers build the same table
+    under the same limit, so one check covers them all."""
     if resource is None:
         return
     cap = resource.getrlimit(resource.RLIMIT_AS)[0]
-    need = _table_bytes(rows)
+    need = _table_bytes(rows, exact)
     if cap != resource.RLIM_INFINITY and need > cap:
         raise ResourceLimitError(
             f"{what} needs about {need >> 20} MiB for its binomial table, "
@@ -293,6 +311,35 @@ class TreeExpectation:
     cdf: CdfTable
 
 
+def _tree_cdf(n: int, limits: Limits, workers: int, exact: bool) -> list:
+    """Pr(M(1, n) < x) for x = 1 .. 2**n + 1 on the full binary tree of
+    depth n: numerators over 2**c_n if `exact`, else floats.
+
+    Refuses n past the round limit, then a table too large for the
+    address-space limit.  Sweeps x <= 2**(n-1), one pass per threshold, and
+    reads the rest from the one-sequence law, rounded once for floats.
+    Worker i of `workers`, at most one per swept threshold, sweeps
+    x = 1+i, 1+i+workers, ... with its own table; the stride balances the
+    uneven cost per threshold.
+    """
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+    check_round_limit(n, limits)
+    half = 1 << (n - 1)
+    check_table_size(half, f"n = {n}", exact)
+    workers = min(workers, half)
+    tasks = [(1, n, range(1 + i, half + 1, workers), exact) for i in range(workers)]
+    if workers > 1:
+        cdf = [0] * half
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for i, part in enumerate(pool.map(_sweep, tasks)):
+                cdf[i::workers] = part
+    else:
+        cdf = _sweep(tasks[0])
+    whole = 1 << _level_exponent(n)
+    return cdf + [t if exact else t / whole for t in _one_sequence_tail(n)]
+
+
 def expected_max_tree(
     n: int,
     *,
@@ -300,53 +347,14 @@ def expected_max_tree(
     workers: int = 1,
 ) -> TreeExpectation:
     """Exact expectation of the maximum occurrence count for the full
-    binary tree of depth n under uniform random labeling.
-
-    Sweeps x = 1 .. 2**(n-1) with an independent pass per threshold, so
-    memory stays at one level table per pass, and fills x > 2**(n-1) from
-    the one-sequence law (`_one_sequence_tail`).  A binomial table too
-    large for the address-space limit is refused first
-    (`check_table_size`).  With `workers` > 1, up to
-    one per swept threshold, worker i sweeps x = 1+i, 1+i+workers, ... in
-    its own process with one binomial table; the stride balances the
-    uneven cost per threshold, and the results interleave back
-    deterministically.
-    """
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
-    check_round_limit(n, limits)
-    check_table_size(1 << (n - 1), f"n = {n}")
-    top = 1 << n
-    workers = min(workers, top >> 1)
-    if workers > 1:
-        numerators = [0] * (top >> 1)
-        tasks = [(n, i, workers) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, part in enumerate(pool.map(_sweep_stride, tasks)):
-                numerators[i::workers] = part
-    else:
-        numerators = _sweep_stride((n, 0, 1))
-    numerators += _one_sequence_tail(n)
+    binary tree of depth n under uniform random labeling, from the tree
+    driver (`_tree_cdf`) in integers."""
+    numerators = _tree_cdf(n, limits, workers, True)
     d = _level_exponent(n)
     # E[M] = sum_{x=1}^{2^n} Pr(M >= x)
-    shortfall = sum(numerators[:top])
-    expected = Fraction((top << d) - shortfall, 1 << d)
+    expected = Fraction((1 << (n + d)) - sum(numerators[:-1]), 1 << d)
     cdf = CdfTable(n, tuple(DyadicProbability(nu, d) for nu in numerators))
     return TreeExpectation(n, expected, cdf)
-
-
-# -- float mode ----------------------------------------------------------------
-
-
-def _binom_pmf_row(k: int) -> list[float]:
-    """C(k, i) / 2**k for i <= k // 2 as floats, built by ratio steps down
-    from the mode so no intermediate value underflows before it has to."""
-    mid = k // 2
-    row = [0.0] * (mid + 1)
-    row[mid] = float(Fraction(comb(k, mid), 1 << k))
-    for i in range(mid, 0, -1):
-        row[i - 1] = row[i] * i / (k - i + 1)
-    return row
 
 
 def expected_max_tree_float(
@@ -354,20 +362,11 @@ def expected_max_tree_float(
     *,
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[float, tuple[float, ...]]:
-    """Floating-point variant of expected_max_tree.
-
-    Returns (expectation, cdf values for x = 1..2**n+1), under exact mode's
-    round limit.  Probabilities below roughly 1e-300 round to zero.
-    """
-    check_round_limit(n, limits)
-    top = 1 << n
-    rows = [_with_sums(_binom_pmf_row(2 * m)) for m in range(top // 2 + 1)]
-    # pmf rows carry no powers of two: scaling by 2**e is the identity
-    cdf = tuple(
-        _level_sweep(1, n, x, rows, lambda v, e: v) for x in range(1, top + 2)
-    )
-    expected = float(top) - sum(cdf[:top])
-    return expected, cdf
+    """Floating-point variant of expected_max_tree: (expectation, cdf values
+    for x = 1..2**n+1) from the same driver in floats, on one worker.
+    Probabilities below roughly 1e-300 round to zero."""
+    cdf = tuple(_tree_cdf(n, limits, 1, False))
+    return float(1 << n) - sum(cdf[:-1]), cdf
 
 
 # -- brute force and Monte Carlo ------------------------------------------------

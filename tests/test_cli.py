@@ -221,12 +221,15 @@ def test_df_exact_rejects_graph_flags(capsys, flag, value):
     (["df", "exact-tree", "--sweep", "3"], "--sweep: expected LO:HI, got '3'"),
     (["df", "brute", "--protocol", "tree", "-n", "2", "--max-sequences", "4"],
      "--max-sequences"),
+    (["reduce", str(GOLDEN / "reduce_cnf_5v7c.cnf"), "--max-walks", "1"],
+     "--max-walks is read only with --verify"),
 ], ids=["brute-sweep", "brute-float", "mc-force", "exact-samples", "exact-start",
         "exact-n-and-sweep", "tree-fan", "graph-and-protocol", "reversed-sweep",
         "generate-format", "reduce-seed", "brute-threads", "generate-max-walks",
         "mc-max-exact-rounds", "mfs-max-exact-rounds", "simulate-max-brute-vertices",
         "exact-force", "labels-and-seed", "float-and-threads", "mfs-mode",
-        "sweep-without-colon", "brute-max-sequences"])
+        "sweep-without-colon", "brute-max-sequences",
+        "reduce-max-walks-without-verify"])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv, flag):
     out = run(capsys, argv, expect=EXIT_INPUT)
     assert out.out == ""
@@ -342,15 +345,13 @@ def test_resource_failures_exit_code(capsys, monkeypatch, argv, patch, err):
 def test_df_sweep_refuses_its_largest_table_first(capsys, monkeypatch):
     monkeypatch.setattr(fraud.resource, "getrlimit", lambda which: (1 << 20, 1 << 20))
     monkeypatch.setattr(fraud, "_binom_rows", _out_of_memory)  # nothing is built
-    for flags in ([], ["--threads", "2"]):
+    monkeypatch.setattr(fraud, "_pmf_rows", _out_of_memory)
+    for flags, need in [([], 4), (["--threads", "2"], 4), (["--float"], 2)]:
         argv = ["df", "exact-tree", "--sweep", "3:9", *flags]
         out = run(capsys, argv, expect=EXIT_RESOURCE)
         assert out.out == ""
-        assert out.err == ("error: n = 9 needs about 4 MiB for its binomial table, "
-                           "above the address-space limit of 1 MiB\n")
-    # float mode builds no such table and is not checked
-    out = run(capsys, ["df", "exact-tree", "--sweep", "9:9", "--float"])
-    assert json.loads(out.out)[0]["rounds"] == 9
+        assert out.err == (f"error: n = 9 needs about {need} MiB for its binomial "
+                           "table, above the address-space limit of 1 MiB\n")
 
 
 @pytest.mark.skipif(fraud.resource is None, reason="no address-space limit to set")
@@ -364,13 +365,16 @@ def test_df_exact_table_refusal_under_an_address_space_cap():
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "mfskit.cli", "df", "exact-tree", "-n", "12"],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
-    )
-    assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
-    assert proc.stderr == ("error: n = 12 needs about 1591 MiB for its binomial "
-                           "table, above the address-space limit of 390 MiB\n")
+    for flags, n, need in [([], "12", 1591),
+                           (["--float", "--max-exact-rounds", "14"], "14", 2082)]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfskit.cli", "df", "exact-tree", "-n", n, *flags],
+            capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
+        assert proc.stderr == (f"error: n = {n} needs about {need} MiB for its "
+                               "binomial table, above the address-space limit of "
+                               "390 MiB\n")
 
 
 def test_df_float_round_limit_override(capsys):

@@ -190,6 +190,18 @@ def test_float_mode_tracks_exact():
             assert type(a) is float and abs(a - float(b.as_fraction())) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_float_mode_rounds_the_one_sequence_law_once(n):
+    # above 2**(n-1) float mode reads the exact one-sequence law and rounds
+    # each value once, to the float nearest the exact probability
+    half = 1 << (n - 1)
+    exact = expected_max_tree(n).cdf.values
+    _, cdf = expected_max_tree_float(n)
+    assert len(cdf) == len(exact)
+    for x in range(half + 1, 2 * half + 2):
+        assert cdf[x - 1] == float(exact[x - 1].as_fraction()), x
+
+
 def level_sweep_oracle(m_top, n, x):
     """The unsplit level sweep: every pair term pays both products.
 
@@ -253,7 +265,7 @@ def test_split_sweep_matches_oracle_in_workers():
     # and 10; the one-sequence law fills the other 33
     want = [level_sweep_oracle(1, 6, x) for x in range(1, 66)]
     for i in range(3):
-        assert fraud._sweep_stride((6, i, 3)) == want[:32][i::3]
+        assert fraud._sweep((1, 6, range(1 + i, 33, 3), True)) == want[:32][i::3]
     cdf = expected_max_tree(6, workers=3).cdf.values
     assert cdf == tuple(DyadicProbability(v, fraud._level_exponent(6)) for v in want)
 
@@ -368,13 +380,15 @@ def test_expected_max_rejects_bad_rounds():
 
 @pytest.mark.parametrize("n", range(6, 10))
 def test_table_estimate_covers_the_built_table(n):
-    tracemalloc.start()
-    try:
-        rows = fraud._binom_rows((1 << (n - 1)) - 1)
-        built = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert rows and built <= fraud._table_bytes(1 << (n - 1)) <= 1.5 * built
+    for build, exact in [(fraud._binom_rows, True), (fraud._pmf_rows, False)]:
+        tracemalloc.start()
+        try:
+            rows = build((1 << (n - 1)) - 1)
+            built = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        estimate = fraud._table_bytes(1 << (n - 1), exact)
+        assert rows and built <= estimate <= 1.5 * built, exact
 
 
 @pytest.mark.skipif(fraud.resource is None, reason="no address-space limit to read")
@@ -394,11 +408,15 @@ def test_table_too_large_for_the_address_space_is_refused(monkeypatch):
 
     monkeypatch.setattr(resource, "getrlimit", getrlimit)
     monkeypatch.setattr(fraud, "_binom_rows", recording)
+    monkeypatch.setattr(fraud, "_pmf_rows", recording)
     want = ("^n = 12 needs about 1591 MiB for its binomial table, "
             "above the address-space limit of 390 MiB$")
     for workers in (1, 2):  # refused in the parent, before any worker starts
         with pytest.raises(ResourceLimitError, match=want):
             expected_max_tree(12, workers=workers)
+    # float rows are smaller: n = 13 is the first float table over the cap
+    with pytest.raises(ResourceLimitError, match="^n = 13 needs about 521 MiB"):
+        expected_max_tree_float(13, limits=Limits(max_exact_rounds=13))
     # the fan-tree recursion checks the min(m << (n-1), x-1) + 1 rows it reads
     want = ("^m = 1, n = 12, x = 2049 needs about 1594 MiB for its binomial "
             "table, above the address-space limit of 390 MiB$")

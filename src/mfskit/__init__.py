@@ -30,6 +30,7 @@ from .fraud import (
     distance_fraud_probability,
     expected_max_tree,
     expected_max_tree_float,
+    expected_max_tree_range,
     monte_carlo_expected_max,
     recursive_prob,
 )

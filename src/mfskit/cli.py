@@ -25,11 +25,9 @@ from . import __version__
 from .errors import Limits, MfskitError, ResourceLimitError
 from .fraud import (
     brute_force_expected_max,
-    check_round_limit,
-    check_table_size,
     distance_fraud_probability,
-    expected_max_tree,
-    expected_max_tree_float,
+    expected_max_tree,  # noqa: F401  bench/run.py traces it under this name
+    expected_max_tree_range,
     monte_carlo_expected_max,
 )
 from .generators import make_generalized_tree, make_poulidor, make_tree
@@ -180,16 +178,15 @@ def _cmd_mfs(args) -> int:
     return EXIT_OK
 
 
-def _df_report(n: int, limits: Limits, args) -> dict:
-    if args.float:
-        e, _cdf = expected_max_tree_float(n, limits=limits)
+def _df_report(n: int, result, approx: bool) -> dict:
+    if approx:  # float mode's (expectation, cdf)
+        e = result[0]
         return {
             "method": "exact-dp-float",
             "rounds": n,
             "expected_max": e,
             "success_probability": e / (1 << n),
         }
-    result = expected_max_tree(n, limits=limits, workers=args.threads)
     return distance_fraud_probability(result.expected_max, n, "exact-dp").to_json_dict()
 
 
@@ -198,9 +195,9 @@ def _cmd_df_exact(args) -> int:
         raise MfskitError(f"--threads: need workers >= 1, got {args.threads}")
     limits = _limits_from_args(args)
     lo, hi = args.sweep or (args.rounds, args.rounds)
-    check_round_limit(hi, limits)
-    check_table_size(1 << (hi - 1), f"n = {hi}", not args.float)  # the largest, first
-    payload = [_df_report(n, limits, args) for n in range(lo, hi + 1)]
+    results = expected_max_tree_range(lo, hi, limits=limits, workers=args.threads,
+                                      exact=not args.float)
+    payload = [_df_report(n, r, args.float) for n, r in zip(range(lo, hi + 1), results)]
     _emit(args, payload if args.sweep else payload[0])
     return EXIT_OK
 

@@ -9,10 +9,10 @@ children are labeled 0 splits the tree into two independent halves one
 level down, which yields a recursion on threshold probabilities
 Pr(M(m, n) < x) with closed-form values at depth 1.
 
-One bottom-up level sweep (`_level_sweep`) evaluates that recursion; one
-helper (`_sweep`) builds the table a set of thresholds reads and sweeps
-each.  It serves the fan tree (`recursive_prob`, `base_case_prob`) and the
-one tree driver, `_tree_cdf`, behind `expected_max_tree` and float mode,
+One bottom-up level sweep (`_level_sweep`) evaluates that recursion at
+every depth up to n at once; one helper (`_sweep`) builds the table a set
+of thresholds reads and sweeps each.  It serves the fan tree
+(`recursive_prob`) and the one tree driver, `expected_max_tree_range`,
 with the arithmetic, exact integers or floats, as the only parameter.
 
 The full binary tree needs no sweep above x = 2**(n-1).  The occurrence
@@ -20,8 +20,8 @@ count of one sequence is generation n of the critical Galton-Watson
 process Z with Bin(2, 1/2) offspring, and the 2**n walks leave room for
 at most one sequence past 2**(n-1), so there Pr(M >= x) =
 2**n * Pr(Z_n >= x) exactly (`_one_sequence_tail`).  The tree driver
-sweeps x = 1 .. 2**(n-1) in either arithmetic and reads the rest from the
-pmf of Z_n, rounded once to a float in float mode.
+sweeps rounds lo .. hi once, at depth hi and x <= 2**(hi-1): round n reads
+level n at x <= 2**(n-1) and the pmf of Z_n above, rounded once for floats.
 
 The paper's O(2**(2n) * n) bound counts recursion states (x, level, m).
 Here each state is a convolution of up to m pair terms, so the pair terms
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
 from itertools import accumulate
-from operator import lshift, mul
+from operator import mul
 
 from .errors import DEFAULT_LIMITS, Limits, MfskitError, ResourceLimitError
 from .graphs import LabeledDigraph
@@ -131,27 +131,29 @@ def _level_exponent(level: int) -> int:
     return (1 << (level + 1)) - 2
 
 
-def _level_sweep(m_top: int, n: int, x: int, rows, scale):
-    """Pr(M(m_top, n) < x), bottom-up from the depth-1 closed form.
+def _level_sweep(m_top: int, n: int, x: int, rows, scale) -> list:
+    """Pr(M(m_top, l) < x) for l = 1 .. n, level by level from depth 1.
 
     Level l holds parameters m = 0 .. min(m_top * 2**(n-l), x - 1); each
     pass consumes the level below through the binomial-weighted symmetric
     sum, which reads no index at or above x.  The arithmetic is the
     caller's: rows[m] holds the half row C(2m, i) for i <= m with its prefix
-    sums, and scale(v, e) is v * 2**e, so integer rows with operator.lshift
-    give exact numerators over 2**(c_n * m_top), and float pmf rows with
+    sums, and scale(v, e) is v * 2**e, so integer rows with `_shift` give
+    exact numerators over 2**(c_l * m_top), and float pmf rows with
     scale(v, e) = v give floats.
 
     A value at level l is probability one, 2**(c_l * m) in exact numerators,
     when x > m * 2**l.  With t the first index of the level below that is
     not one, a pair term row[i] * prev[i] * prev[2m-i] (i < m) takes no
     product when both factors are one (2m - t < i < t: a prefix sum of the
-    row, shifted), one product and a shift when only prev[2m-i] is not
-    (i < t), and two products when neither is (i >= t).
+    row, shifted), one product when only prev[2m-i] is not (i < t), and two
+    products when neither is (i >= t).  The one-factor terms, times
+    2**(c*i), read the level below lifted once to prev[j] * 2**(c*(last-j)),
+    so a state's window is one sum scaled once, by 2**(c*(2m-last)).
     """
     one = rows[0][0][0]  # C(0, 0): 1 or 1.0, in the caller's arithmetic
     if x <= m_top:
-        return 0 * one
+        return [0 * one] * n
     prev = []
     for m in range(min(m_top << (n - 1), x - 1) + 1):
         row, sums = rows[m]
@@ -160,9 +162,14 @@ def _level_sweep(m_top: int, n: int, x: int, rows, scale):
         else:
             # row[m] + 2 * (C(2m, m+1) + ... + C(2m, x-1)), mirrored
             prev.append(row[m] + 2 * (sums[m] - sums[2 * m - x + 1]))
+    depths = [prev[m_top]]
     for level in range(2, n + 1):
         c = _level_exponent(level - 1)
         t = ((x - 1) >> (level - 1)) + 1  # prev[j] is one iff j < t
+        last = len(prev) - 1
+        # the one-factor windows read prev[j] at j >= t only; each term
+        # carries at least 2**(c*(last-2m)), so the window's shift is exact
+        lifted = prev[:t] + list(map(scale, prev[t:], range(c * (last - t), -1, -c)))
         top = min(m_top << (n - level), x - 1)
         ones = min(top + 1, ((x - 1) >> level) + 1)  # cur[m] is one iff m < ones
         cur = [scale(one, (2 * c + 2) * m) for m in range(ones)]
@@ -170,10 +177,8 @@ def _level_sweep(m_top: int, n: int, x: int, rows, scale):
             row, sums = rows[m]
             lo = max(0, 2 * m - x + 1)
             e = min(t, 2 * m - t + 1)  # lo <= i < e: only prev[2m-i] is not one
-            acc = sum(
-                map(scale, map(mul, row[lo:e], prev[2 * m - lo : 2 * m - e : -1]),
-                    range(c * lo, c * e, c))
-            )
+            acc = scale(sum(map(mul, row[lo:e], lifted[2 * m - lo : 2 * m - e : -1])),
+                        c * (2 * m - last))
             if m < t:  # every later pair and the middle are one
                 b = max(lo, e)
                 both = row[m] + 2 * (sums[m] - sums[b])
@@ -186,7 +191,8 @@ def _level_sweep(m_top: int, n: int, x: int, rows, scale):
             pm = prev[m]
             cur.append(acc + acc + row[m] * pm * pm)
         prev = cur
-    return prev[m_top]
+        depths.append(prev[m_top])
+    return depths
 
 
 def base_case_prob(m: int, x: int) -> DyadicProbability:
@@ -205,20 +211,27 @@ def recursive_prob(m: int, n: int, x: int) -> DyadicProbability:
     if m < 0 or n < 1 or x < 1:
         raise ValueError("need m >= 0, n >= 1 and x >= 1")
     check_table_size(min(m << (n - 1), x - 1) + 1, f"m = {m}, n = {n}, x = {x}")
-    [numer] = _sweep((m, n, range(x, x + 1), True))
+    [[numer]] = _sweep((m, n, [(x, n)], True))
     return DyadicProbability(numer, _level_exponent(n) * m)
 
 
-def _sweep(args: tuple[int, int, range, bool]) -> list:
-    """Pr(M(m_top, n) < x) for each x of the ascending range `xs`, over one
-    table of the rows m <= min(m_top * 2**(n-1), max(xs) - 1) they read:
-    numerators over 2**(c_n * m_top) if `exact`, else floats from pmf rows,
-    where scaling by a power of two is the identity."""
-    m_top, n, xs, exact = args
-    mmax = min(m_top << (n - 1), xs[-1] - 1)
+def _shift(v: int, e: int) -> int:
+    # v * 2**e, the exact sweep's scale: for e < 0 its v is a multiple of 2**-e
+    return v << e if e >= 0 else v >> -e
+
+
+def _sweep(args: tuple[int, int, list, bool]) -> list:
+    """For each (x, first) of `reads`, ascending in x, Pr(M(m_top, l) < x)
+    at depths l = n down to first, over one table of the rows
+    m <= min(m_top * 2**(n-1), max x - 1) they read: numerators over
+    2**(c_l * m_top) if `exact`, else floats from pmf rows, where scaling
+    by a power of two is the identity."""
+    m_top, n, reads, exact = args
+    mmax = min(m_top << (n - 1), reads[-1][0] - 1)
     rows = _binom_rows(mmax) if exact else _pmf_rows(mmax)
-    scale = lshift if exact else (lambda v, e: v)
-    return [_level_sweep(m_top, n, x, rows, scale) for x in xs]
+    scale = _shift if exact else (lambda v, e: v)
+    return [_level_sweep(m_top, n, x, rows, scale)[first - 1 :][::-1]
+            for x, first in reads]
 
 
 def _one_sequence_pmf(n: int) -> list[int]:
@@ -265,18 +278,6 @@ class CdfTable:
         return self.values[x - 1]
 
 
-def check_round_limit(n: int, limits: Limits) -> None:
-    """Refuse n < 1, and n above `limits.max_exact_rounds` in exact and
-    float mode alike.  The CLI checks a sweep once, with its top round."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > limits.max_exact_rounds:
-        raise ResourceLimitError(
-            f"n = {n} exceeds max_exact_rounds = {limits.max_exact_rounds}; "
-            "raise it with --max-exact-rounds or MFSKIT_MAX_EXACT_ROUNDS"
-        )
-
-
 def _table_bytes(rows: int, exact: bool = True) -> int:
     # about the size of table rows m < `rows`, each with m+1 binomials and
     # m+1 prefix sums, each one list slot (8 bytes) and an int of 24 bytes
@@ -311,33 +312,55 @@ class TreeExpectation:
     cdf: CdfTable
 
 
-def _tree_cdf(n: int, limits: Limits, workers: int, exact: bool) -> list:
-    """Pr(M(1, n) < x) for x = 1 .. 2**n + 1 on the full binary tree of
-    depth n: numerators over 2**c_n if `exact`, else floats.
+def expected_max_tree_range(lo: int, hi: int, *, limits: Limits = DEFAULT_LIMITS,
+                            workers: int = 1, exact: bool = True) -> list:
+    """[expected_max_tree(n) for n = lo .. hi], or expected_max_tree_float(n)
+    if not `exact`, from one sweep of round hi: the tree driver.
 
-    Refuses n past the round limit, then a table too large for the
-    address-space limit.  Sweeps x <= 2**(n-1), one pass per threshold, and
-    reads the rest from the one-sequence law, rounded once for floats.
-    Worker i of `workers`, at most one per swept threshold, sweeps
-    x = 1+i, 1+i+workers, ... with its own table; the stride balances the
+    Refuses hi past `limits.max_exact_rounds`, in either arithmetic, then
+    a table too large for the address-space limit, before any sweep.
+    Level n of the sweep of depth hi at x <= 2**(hi-1) is round n's
+    Pr(M(1, n) < x), read at x <= 2**(n-1); the one-sequence law gives the
+    rest, rounded once for floats.  Worker i of `workers`, at most one per
+    swept threshold, sweeps x = 1+i, 1+i+workers, ... with its own table
+    and returns only the values the range reads; the stride balances the
     uneven cost per threshold.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    check_round_limit(n, limits)
-    half = 1 << (n - 1)
-    check_table_size(half, f"n = {n}", exact)
+    if not 1 <= lo <= hi:
+        raise ValueError("need n >= 1" if lo < 1 else f"need lo <= hi, got {lo}:{hi}")
+    if hi > limits.max_exact_rounds:
+        raise ResourceLimitError(
+            f"n = {hi} exceeds max_exact_rounds = {limits.max_exact_rounds}; "
+            "raise it with --max-exact-rounds or MFSKIT_MAX_EXACT_ROUNDS"
+        )
+    half = 1 << (hi - 1)
+    check_table_size(half, f"n = {hi}", exact)
     workers = min(workers, half)
-    tasks = [(1, n, range(1 + i, half + 1, workers), exact) for i in range(workers)]
-    if workers > 1:
-        cdf = [0] * half
+    # threshold x is read at the rounds n >= lo with x <= 2**(n-1)
+    tasks = [(1, hi, [(x, max(lo, (x - 1).bit_length() + 1))
+                      for x in range(1 + i, half + 1, workers)], exact)
+             for i in range(workers)]
+    if workers > 1:  # swept[x-1][hi-n] is round n's Pr(M < x)
+        swept = [None] * half
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, part in enumerate(pool.map(_sweep, tasks)):
-                cdf[i::workers] = part
+                swept[i::workers] = part
     else:
-        cdf = _sweep(tasks[0])
-    whole = 1 << _level_exponent(n)
-    return cdf + [t if exact else t / whole for t in _one_sequence_tail(n)]
+        swept = _sweep(tasks[0])
+    results = []
+    for n in range(lo, hi + 1):
+        d = _level_exponent(n)
+        cdf = [depths[hi - n] for depths in swept[: 1 << (n - 1)]]
+        cdf += [t if exact else t / (1 << d) for t in _one_sequence_tail(n)]
+        if exact:  # E[M] = sum_{x=1}^{2^n} Pr(M >= x)
+            expected = Fraction((1 << (n + d)) - sum(cdf[:-1]), 1 << d)
+            table = CdfTable(n, tuple(DyadicProbability(nu, d) for nu in cdf))
+            results.append(TreeExpectation(n, expected, table))
+        else:
+            results.append((float(1 << n) - sum(cdf[:-1]), tuple(cdf)))
+    return results
 
 
 def expected_max_tree(
@@ -348,13 +371,8 @@ def expected_max_tree(
 ) -> TreeExpectation:
     """Exact expectation of the maximum occurrence count for the full
     binary tree of depth n under uniform random labeling, from the tree
-    driver (`_tree_cdf`) in integers."""
-    numerators = _tree_cdf(n, limits, workers, True)
-    d = _level_exponent(n)
-    # E[M] = sum_{x=1}^{2^n} Pr(M >= x)
-    expected = Fraction((1 << (n + d)) - sum(numerators[:-1]), 1 << d)
-    cdf = CdfTable(n, tuple(DyadicProbability(nu, d) for nu in numerators))
-    return TreeExpectation(n, expected, cdf)
+    driver (`expected_max_tree_range`) in integers."""
+    return expected_max_tree_range(n, n, limits=limits, workers=workers)[0]
 
 
 def expected_max_tree_float(
@@ -365,8 +383,7 @@ def expected_max_tree_float(
     """Floating-point variant of expected_max_tree: (expectation, cdf values
     for x = 1..2**n+1) from the same driver in floats, on one worker.
     Probabilities below roughly 1e-300 round to zero."""
-    cdf = tuple(_tree_cdf(n, limits, 1, False))
-    return float(1 << n) - sum(cdf[:-1]), cdf
+    return expected_max_tree_range(n, n, limits=limits, exact=False)[0]
 
 
 # -- brute force and Monte Carlo ------------------------------------------------

@@ -350,9 +350,10 @@ class MfsScorer:
             return most_frequent_sequence(labeled, self.start, self.k,
                                           limits=limits).sequence
         check_search_limit(self.walks, len(labeled.alphabet), self.k, limits)
-        counts = Counter(sorted(self.keys(labeled.labels)))
-        # keys were counted in ascending order: the first maximum is the smallest
-        top = max(counts, key=counts.__getitem__)
+        counts = Counter(self.keys(labeled.labels))
+        most = max(counts.values())
+        # the smallest of the keys counted most often
+        top = min(key for key, count in counts.items() if count == most)
         return (labeled.labels[self.start], *top.decode())
 
 

@@ -283,21 +283,35 @@ def test_one_parser_serves_every_call(capsys):
     assert json.loads(unseeded)["seed"] == 0
 
 
+def _count_level_sweeps(monkeypatch) -> list:
+    calls, sweep = [], fraud._level_sweep
+
+    def counting(m_top, n, x, rows, scale):
+        calls.append((n, x))
+        return sweep(m_top, n, x, rows, scale)
+
+    monkeypatch.setattr(fraud, "_level_sweep", counting)
+    return calls
+
+
 @pytest.mark.parametrize("flags", [[], ["--float"]])
 def test_df_sweep_past_the_limit_sweeps_nothing(capsys, monkeypatch, flags):
-    calls = []
-
-    def counting(engine):
-        def call(n, **kwargs):
-            calls.append(n)
-            return engine(n, **kwargs)
-        return call
-
-    for name in ("expected_max_tree", "expected_max_tree_float"):
-        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
-    argv = ["df", "exact-tree", "--sweep", "1:5", "--max-exact-rounds", "4", *flags]
-    out = run(capsys, argv, expect=EXIT_RESOURCE)
+    calls = _count_level_sweeps(monkeypatch)
+    argv = ["df", "exact-tree", "--sweep", "1:5", *flags, "--max-exact-rounds"]
+    out = run(capsys, argv + ["4"], expect=EXIT_RESOURCE)
     assert (out.out, calls) == ("", [])
+    run(capsys, argv + ["5"])  # the counter sees the sweep the limit allows
+    assert calls == [(5, x) for x in range(1, 17)]
+
+
+@pytest.mark.parametrize("flags", [[], ["--float", "--max-exact-rounds", "9"]])
+def test_df_sweep_sweeps_each_threshold_once(capsys, monkeypatch, flags):
+    # one sweep of the top round serves the whole range: 2**8 thresholds,
+    # where a sweep per round would take 1 + 2 + ... + 2**8 = 511
+    calls = _count_level_sweeps(monkeypatch)
+    out = run(capsys, ["df", "exact-tree", "--sweep", "1:9", *flags]).out
+    assert [r["rounds"] for r in json.loads(out)] == list(range(1, 10))
+    assert calls == [(9, x) for x in range(1, 257)]
 
 
 def test_df_exact_refusal_exit_code(capsys):

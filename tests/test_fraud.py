@@ -3,7 +3,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
-from operator import lshift, mul
+from operator import mul
 
 import pytest
 
@@ -18,6 +18,7 @@ from mfskit import (
     distance_fraud_probability,
     expected_max_tree,
     expected_max_tree_float,
+    expected_max_tree_range,
     make_generalized_tree,
     make_poulidor,
     make_tree,
@@ -241,12 +242,18 @@ def level_sweep_oracle(m_top, n, x):
     return prev[m_top]
 
 
+def depth_oracle(m_top, n, x):
+    """Pr(M(m_top, l) < x) for l = 1 .. n, each from its own unsplit sweep."""
+    return [level_sweep_oracle(m_top, depth, x) for depth in range(1, n + 1)]
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_split_sweep_matches_oracle_on_trees(n):
+    # every depth of one sweep is the top of its own sweep
     rows = fraud._binom_rows(1 << (n - 1))
     for x in range(1, (1 << n) + 2):
-        got = fraud._level_sweep(1, n, x, rows, lshift)
-        assert got == level_sweep_oracle(1, n, x), x
+        got = fraud._level_sweep(1, n, x, rows, fraud._shift)
+        assert got == depth_oracle(1, n, x), x
 
 
 @pytest.mark.parametrize("m_top", range(0, 7))
@@ -255,19 +262,46 @@ def test_split_sweep_matches_oracle_on_fan_trees(m_top):
         rows = fraud._binom_rows(m_top << (n - 1))
         d = fraud._level_exponent(n) * m_top
         for x in range(1, (m_top << n) + 3):
-            want = level_sweep_oracle(m_top, n, x)
-            assert fraud._level_sweep(m_top, n, x, rows, lshift) == want, (n, x)
-            assert recursive_prob(m_top, n, x) == DyadicProbability(want, d)
+            want = depth_oracle(m_top, n, x)
+            assert fraud._level_sweep(m_top, n, x, rows, fraud._shift) == want, (n, x)
+            assert recursive_prob(m_top, n, x) == DyadicProbability(want[-1], d)
 
 
 def test_split_sweep_matches_oracle_in_workers():
     # 3 workers take the 32 swept thresholds of n = 6 in strides of 11, 11
-    # and 10; the one-sequence law fills the other 33
+    # and 10, each at every depth it is read; the one-sequence law fills
+    # the other 33
     want = [level_sweep_oracle(1, 6, x) for x in range(1, 66)]
     for i in range(3):
-        assert fraud._sweep((1, 6, range(1 + i, 33, 3), True)) == want[:32][i::3]
+        xs = range(1 + i, 33, 3)
+        part = fraud._sweep((1, 6, [(x, 6) for x in xs], True))
+        assert part == [[v] for v in want[:32][i::3]]
+        reads = [(x, (x - 1).bit_length() + 1) for x in xs]  # from depth 6 down
+        part = fraud._sweep((1, 6, reads, True))
+        assert part == [depth_oracle(1, 6, x)[::-1][: 7 - first] for x, first in reads]
     cdf = expected_max_tree(6, workers=3).cdf.values
     assert cdf == tuple(DyadicProbability(v, fraud._level_exponent(6)) for v in want)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_range_reader_equals_single_rounds(workers):
+    # one sweep of round hi gives each round lo .. hi what its own sweep
+    # gives, value for value: exact numerators and floats alike
+    exact = [expected_max_tree(n) for n in range(1, 9)]
+    approx = [expected_max_tree_float(n) for n in range(1, 9)]
+    for hi in range(1, 9):
+        for lo in range(1, hi + 1):
+            got = expected_max_tree_range(lo, hi, workers=workers)
+            assert got == exact[lo - 1 : hi], (lo, hi)
+            got = expected_max_tree_range(lo, hi, workers=workers, exact=False)
+            assert got == approx[lo - 1 : hi], (lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi, err", [(0, 3, "need n >= 1"), (-1, -1, "need n >= 1"),
+                                         (3, 2, "need lo <= hi, got 3:2")])
+def test_range_reader_needs_an_ascending_range(lo, hi, err):
+    with pytest.raises(ValueError, match=f"^{err}$"):
+        expected_max_tree_range(lo, hi)
 
 
 def test_split_sweep_starts_no_more_workers_than_thresholds(monkeypatch):
@@ -331,7 +365,9 @@ def test_one_sequence_tail_equals_the_sweep(n):
     tail = fraud._one_sequence_tail(n)
     assert len(tail) == half + 1
     for x in range(half + 1, 2 * half + 2):
-        assert tail[x - half - 1] == fraud._level_sweep(1, n, x, rows, lshift), x
+        got = fraud._level_sweep(1, n, x, rows, fraud._shift)
+        assert [tail[x - half - 1]] == got[-1:], x
+        assert got == depth_oracle(1, n, x), x
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -354,9 +390,10 @@ def test_fan_tree_table_stops_at_the_threshold(monkeypatch):
     monkeypatch.setattr(fraud, "_binom_rows", recording)
     recursive_prob(1, 11, 3)
     for m, n, x in [(2, 3, 100), (3, 2, 6), (0, 1, 1), (1, 8, 100)]:
-        full = fraud._level_sweep(m, n, x, build(m << (n - 1)), lshift)
+        full = fraud._level_sweep(m, n, x, build(m << (n - 1)), fraud._shift)
+        assert full == depth_oracle(m, n, x), (m, n, x)
         d = fraud._level_exponent(n) * m
-        assert recursive_prob(m, n, x) == DyadicProbability(full, d), (m, n, x)
+        assert recursive_prob(m, n, x) == DyadicProbability(full[-1], d), (m, n, x)
     assert built == [2, 8, 5, 0, 99]
 
 

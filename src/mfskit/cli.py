@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 from dataclasses import fields, replace
 
 from . import __version__
@@ -72,6 +70,7 @@ def _emit(args, payload: dict | list) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
+        import csv
         rows = payload if isinstance(payload, list) else [payload]
         flat = [_flatten(row) for row in rows]
         fieldnames: list[str] = []
@@ -424,9 +423,6 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
-        return EXIT_RESOURCE
-    except BrokenExecutor as exc:
-        print(f"error: worker process failed: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (MfskitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,8 @@ class ProtocolError(MfskitError):
 
 
 class ResourceLimitError(MfskitError):
-    """A computation was refused because it exceeds a configured limit."""
+    """A computation was refused for exceeding a configured limit, or lost
+    a worker process."""
 
 
 def _env_int(name, default):

@@ -55,7 +55,6 @@ one prefix search on rings from n = 8.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
@@ -324,7 +323,8 @@ def expected_max_tree_range(lo: int, hi: int, *, limits: Limits = DEFAULT_LIMITS
     rest, rounded once for floats.  Worker i of `workers`, at most one per
     swept threshold, sweeps x = 1+i, 1+i+workers, ... with its own table
     and returns only the values the range reads; the stride balances the
-    uneven cost per threshold.
+    uneven cost per threshold.  Only `workers` > 1 imports the process
+    pool, and a broken pool raises `ResourceLimitError`.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
@@ -343,10 +343,14 @@ def expected_max_tree_range(lo: int, hi: int, *, limits: Limits = DEFAULT_LIMITS
                       for x in range(1 + i, half + 1, workers)], exact)
              for i in range(workers)]
     if workers > 1:  # swept[x-1][hi-n] is round n's Pr(M < x)
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         swept = [None] * half
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, part in enumerate(pool.map(_sweep, tasks)):
-                swept[i::workers] = part
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for i, part in enumerate(pool.map(_sweep, tasks)):
+                    swept[i::workers] = part
+        except BrokenExecutor as exc:
+            raise ResourceLimitError(f"worker process failed: {exc}") from exc
     else:
         swept = _sweep(tasks[0])
     results = []

@@ -20,6 +20,8 @@ ascending id order, one bit deciding which out-edge is labeled "0" (a 1
 labels the second one "0").  A single out-edge is labeled "0".  The
 labeler reads this prefix of the stream in one draw of 2n bits for n
 vertices, which covers the n label bits and at most n edge bits.
+`blake2b` comes from CPython's built-in `_blake2`, as `hashlib.blake2b`
+does, so no session loads OpenSSL's `_hashlib`.
 
 One session core (`_play`) derives each trial's nonces, labeling,
 challenges, expected labels and responses.  `run_session` records its
@@ -39,12 +41,16 @@ out-edges or the symbols.  Every path makes the solver's one refusal.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
 from typing import Callable, Iterator, Sequence
+
+try:
+    from _blake2 import blake2b
+except ImportError:  # a Python without CPython's built-in BLAKE2
+    from hashlib import blake2b
 
 from .errors import DEFAULT_LIMITS, GraphError, Limits, ProtocolError
 from .graphs import LabeledDigraph
@@ -73,7 +79,7 @@ def _prf_word(seed: int, k: int) -> int:
 
 
 def prf_seed(key: bytes, verifier_nonce: bytes, prover_nonce: bytes) -> int:
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     for part in (key, verifier_nonce, prover_nonce):
         h.update(len(part).to_bytes(4, "big"))
         h.update(part)

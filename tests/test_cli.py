@@ -344,7 +344,7 @@ def _out_of_memory(*args, **kwargs):
 
 @pytest.mark.parametrize("argv, patch, err", [
     (["df", "exact-tree", "-n", "3", "--threads", "2"],
-     (fraud, "ProcessPoolExecutor", _BrokenPool),
+     ("concurrent.futures.ProcessPoolExecutor", _BrokenPool),
      "error: worker process failed: a worker process terminated abruptly\n"),
     (["simulate", "--protocol", "tree", "-n", "25", "--trials", "1"],
      (cli, "make_tree", _out_of_memory), "error: out of memory\n"),
@@ -353,6 +353,32 @@ def test_resource_failures_exit_code(capsys, monkeypatch, argv, patch, err):
     monkeypatch.setattr(*patch)
     out = run(capsys, argv, expect=EXIT_RESOURCE)
     assert (out.out, out.err) == ("", err)
+
+
+_COMMANDS_IN_ONE_PROCESS = """
+import contextlib, io, sys
+from mfskit import cli
+for argv in (["df", "exact-tree", "-n", "3"],
+             ["df", "mc", "--protocol", "tree", "-n", "3", "--samples", "20"],
+             ["simulate", "--protocol", "tree", "-n", "3", "--adversary", "early-reply",
+              "--trials", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(" ".join(m for m in ("concurrent.futures", "multiprocessing", "_hashlib", "csv")
+               if m in sys.modules))
+"""
+
+
+def test_serial_commands_load_no_pool_openssl_or_csv():
+    # only --threads > 1 starts a pool, only --format csv writes csv, and
+    # the session PRF is CPython's own BLAKE2
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _COMMANDS_IN_ONE_PROCESS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "\n"
 
 
 @pytest.mark.skipif(fraud.resource is None, reason="no address-space limit to read")

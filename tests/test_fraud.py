@@ -324,7 +324,7 @@ def test_split_sweep_starts_no_more_workers_than_thresholds(monkeypatch):
                 parts.append(len(part))
                 yield part
 
-    monkeypatch.setattr(fraud, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     for n, workers in [(1, 8), (2, 8), (2, 3), (3, 8), (4, 3)]:
         assert expected_max_tree(n, workers=workers) == expected_max_tree(n)
     assert started == [2, 2, 4, 3]

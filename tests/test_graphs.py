@@ -292,10 +292,11 @@ def test_writer_defers_what_its_templates_do_not_cover():
 
 
 def test_write_graph_round_trips(tmp_path):
-    path = tmp_path / "g.json"
-    for g in _writer_cases():
+    # a fresh path per case: rewriting one path makes the file system flush
+    for i, g in enumerate(_writer_cases()):
         if not all(isinstance(s, str) for s in g.alphabet):
             continue  # the file format holds string symbols only
+        path = tmp_path / f"g{i}.json"
         write_graph(g, path)
         assert path.read_text(encoding="utf-8") == _reference_text(g) + "\n"
         back = read_graph(path)

@@ -25,7 +25,7 @@ from mfskit import (
     run_session,
 )
 from mfskit.errors import ResourceLimitError
-from mfskit.protocol import AdversaryStrategy, _replies_for, _session_accepts
+from mfskit.protocol import AdversaryStrategy, _replies_for, _session_accepts, prf_seed
 from mfskit.walks import walks_from
 
 
@@ -78,6 +78,17 @@ def test_labeling_matches_stream_spec(structure):
         nonce = t.to_bytes(2, "big")
         expected = _spec_labeling(structure, b"key", nonce, b"np")
         assert label_graph_from_prf(structure, b"key", nonce, b"np") == expected
+
+
+def test_prf_seed_is_hashlib_blake2b():
+    key, verifier_nonce, prover_nonce = b"mfskit key", bytes(range(8)), b"\xff" * 3
+    h = hashlib.blake2b(digest_size=8)
+    for part in (key, verifier_nonce, prover_nonce):
+        h.update(len(part).to_bytes(4, "big") + part)
+    expected = int.from_bytes(h.digest(), "big")
+    assert prf_seed(key, verifier_nonce, prover_nonce) == expected
+    assert prf_seed(b"", b"", b"") == int.from_bytes(
+        hashlib.blake2b(bytes(12), digest_size=8).digest(), "big")
 
 
 def test_labeling_deterministic():

@@ -14,6 +14,8 @@ every depth up to n at once; one helper (`_sweep`) builds the table a set
 of thresholds reads and sweeps each.  It serves the fan tree
 (`recursive_prob`) and the one tree driver, `expected_max_tree_range`,
 with the arithmetic, exact integers or floats, as the only parameter.
+Depth 1 is a binomial tail advanced by a recurrence in m, so the table
+holds only the rows m <= m_top * 2**(n-2) that levels >= 2 read.
 
 The full binary tree needs no sweep above x = 2**(n-1).  The occurrence
 count of one sequence is generation n of the critical Galton-Watson
@@ -130,16 +132,30 @@ def _level_exponent(level: int) -> int:
     return (1 << (level + 1)) - 2
 
 
+def _level_one(x: int, top: int):
+    """Pr(M(m, 1) < x) numerators over 4**m for m = 0 .. top, as 4**m - 2 T(m)
+    with the tail T(m) = C(2m, x) + C(2m, x+1) + ...: 0 while 2m < x, then
+    4 T(m-1) + 3 C(2m-2, x-1) + C(2m-2, x-2), from one ratio step per m."""
+    s = (x - 1) // 2  # 2m < x iff m <= s
+    yield from (1 << 2 * m for m in range(min(s, top) + 1))
+    tail, b = 0, x - 1 if x & 1 else 1  # T(s) = 0 and C(2s, x-2)
+    for m in range(s + 1, top + 1):  # b: C(2m-2, x-2) -> C(2m, x-2)
+        tail = 4 * tail + 3 * (b * (2 * m - x) // (x - 1)) + b
+        b = b * (2 * m - 1) * 2 * m // ((2 * m + 1 - x) * (2 * m + 2 - x))
+        yield (1 << 2 * m) - 2 * tail
+
+
 def _level_sweep(m_top: int, n: int, x: int, rows, scale) -> list:
     """Pr(M(m_top, l) < x) for l = 1 .. n, level by level from depth 1.
 
     Level l holds parameters m = 0 .. min(m_top * 2**(n-l), x - 1); each
     pass consumes the level below through the binomial-weighted symmetric
-    sum, which reads no index at or above x.  The arithmetic is the
-    caller's: rows[m] holds the half row C(2m, i) for i <= m with its prefix
-    sums, and scale(v, e) is v * 2**e, so integer rows with `_shift` give
-    exact numerators over 2**(c_l * m_top), and float pmf rows with
-    scale(v, e) = v give floats.
+    sum, which reads no index at or above x; level 1 reads no row
+    (`_level_one`), and floats divide its numerators once.  The arithmetic
+    is the caller's: rows[m] holds the half row C(2m, i) for i <= m with
+    its prefix sums, and scale(v, e) is v * 2**e, so integer rows with
+    `_shift` give exact numerators over 2**(c_l * m_top), and float pmf
+    rows with scale(v, e) = v give floats.
 
     A value at level l is probability one, 2**(c_l * m) in exact numerators,
     when x > m * 2**l.  With t the first index of the level below that is
@@ -153,14 +169,8 @@ def _level_sweep(m_top: int, n: int, x: int, rows, scale) -> list:
     one = rows[0][0][0]  # C(0, 0): 1 or 1.0, in the caller's arithmetic
     if x <= m_top:
         return [0 * one] * n
-    prev = []
-    for m in range(min(m_top << (n - 1), x - 1) + 1):
-        row, sums = rows[m]
-        if x > 2 * m:
-            prev.append(scale(one, 2 * m))
-        else:
-            # row[m] + 2 * (C(2m, m+1) + ... + C(2m, x-1)), mirrored
-            prev.append(row[m] + 2 * (sums[m] - sums[2 * m - x + 1]))
+    prev = [v if type(one) is int else v / (1 << 2 * m)
+            for m, v in enumerate(_level_one(x, min(m_top << (n - 1), x - 1)))]
     depths = [prev[m_top]]
     for level in range(2, n + 1):
         c = _level_exponent(level - 1)
@@ -209,9 +219,14 @@ def recursive_prob(m: int, n: int, x: int) -> DyadicProbability:
     """Exact Pr(M(m, n) < x) for the fan tree with 2m root children."""
     if m < 0 or n < 1 or x < 1:
         raise ValueError("need m >= 0, n >= 1 and x >= 1")
-    check_table_size(min(m << (n - 1), x - 1) + 1, f"m = {m}, n = {n}, x = {x}")
+    check_table_size(_top_row(m, n, x) + 1, f"m = {m}, n = {n}, x = {x}")
     [[numer]] = _sweep((m, n, [(x, n)], True))
     return DyadicProbability(numer, _level_exponent(n) * m)
+
+
+def _top_row(m_top: int, n: int, x: int) -> int:
+    # the last row levels >= 2 of a depth-n sweep of x' <= x read; row 0 if none
+    return min(m_top << (n - 2), x - 1) if n > 1 else 0
 
 
 def _shift(v: int, e: int) -> int:
@@ -222,11 +237,11 @@ def _shift(v: int, e: int) -> int:
 def _sweep(args: tuple[int, int, list, bool]) -> list:
     """For each (x, first) of `reads`, ascending in x, Pr(M(m_top, l) < x)
     at depths l = n down to first, over one table of the rows
-    m <= min(m_top * 2**(n-1), max x - 1) they read: numerators over
+    m <= _top_row(m_top, n, max x) they read: numerators over
     2**(c_l * m_top) if `exact`, else floats from pmf rows, where scaling
     by a power of two is the identity."""
     m_top, n, reads, exact = args
-    mmax = min(m_top << (n - 1), reads[-1][0] - 1)
+    mmax = _top_row(m_top, n, reads[-1][0])
     rows = _binom_rows(mmax) if exact else _pmf_rows(mmax)
     scale = _shift if exact else (lambda v, e: v)
     return [_level_sweep(m_top, n, x, rows, scale)[first - 1 :][::-1]
@@ -336,7 +351,7 @@ def expected_max_tree_range(lo: int, hi: int, *, limits: Limits = DEFAULT_LIMITS
             "raise it with --max-exact-rounds or MFSKIT_MAX_EXACT_ROUNDS"
         )
     half = 1 << (hi - 1)
-    check_table_size(half, f"n = {hi}", exact)
+    check_table_size(_top_row(1, hi, half) + 1, f"n = {hi}", exact)
     workers = min(workers, half)
     # threshold x is read at the rounds n >= lo with x <= 2**(n-1)
     tasks = [(1, hi, [(x, max(lo, (x - 1).bit_length() + 1))

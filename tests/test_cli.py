@@ -383,15 +383,27 @@ def test_serial_commands_load_no_pool_openssl_or_csv():
 
 @pytest.mark.skipif(fraud.resource is None, reason="no address-space limit to read")
 def test_df_sweep_refuses_its_largest_table_first(capsys, monkeypatch):
+    # n = 9's table (0.9 MiB) fits under 1 MiB, n = 10's does not
     monkeypatch.setattr(fraud.resource, "getrlimit", lambda which: (1 << 20, 1 << 20))
     monkeypatch.setattr(fraud, "_binom_rows", _out_of_memory)  # nothing is built
     monkeypatch.setattr(fraud, "_pmf_rows", _out_of_memory)
-    for flags, need in [([], 4), (["--threads", "2"], 4), (["--float"], 2)]:
-        argv = ["df", "exact-tree", "--sweep", "3:9", *flags]
+    assert fraud._table_bytes(fraud._top_row(1, 9, 256) + 1) < 1 << 20
+    for flags, need in [([], 5), (["--threads", "2"], 5), (["--float"], 2)]:
+        argv = ["df", "exact-tree", "--sweep", "3:10", *flags]
         out = run(capsys, argv, expect=EXIT_RESOURCE)
         assert out.out == ""
-        assert out.err == (f"error: n = 9 needs about {need} MiB for its binomial "
+        assert out.err == (f"error: n = 10 needs about {need} MiB for its binomial "
                            "table, above the address-space limit of 1 MiB\n")
+
+
+@pytest.mark.skipif(fraud.resource is None, reason="no address-space limit to read")
+def test_df_exact_n9_fits_under_two_mib(capsys, monkeypatch):
+    # rows m <= 2**7 take about 0.9 MiB; rows m <= 2**8, 4 MiB, did not fit
+    uncapped = run(capsys, ["df", "exact-tree", "-n", "9"]).out
+    monkeypatch.setattr(fraud.resource, "getrlimit", lambda which: (2 << 20, 2 << 20))
+    out = run(capsys, ["df", "exact-tree", "-n", "9"])
+    assert (out.out, out.err) == (uncapped, "")
+    assert json.loads(uncapped)["rounds"] == 9
 
 
 @pytest.mark.skipif(fraud.resource is None, reason="no address-space limit to set")
@@ -405,8 +417,8 @@ def test_df_exact_table_refusal_under_an_address_space_cap():
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for flags, n, need in [([], "12", 1591),
-                           (["--float", "--max-exact-rounds", "14"], "14", 2082)]:
+    for flags, n, need in [(["--max-exact-rounds", "13"], "13", 1594),
+                           (["--float", "--max-exact-rounds", "14"], "14", 521)]:
         proc = subprocess.run(
             [sys.executable, "-m", "mfskit.cli", "df", "exact-tree", "-n", n, *flags],
             capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,

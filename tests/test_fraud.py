@@ -379,8 +379,29 @@ def test_expected_max_tree_cdf_matches_oracle(workers):
         assert cdf == tuple(DyadicProbability(v, d) for v in want), n
 
 
+def test_level_one_tail_recurrence_equals_the_row_formula():
+    # depth 1 from the tail recurrence gives, as exact integers, the
+    # numerators over 4**m that binomial rows gave: row[m] + 2 * (sums[m] -
+    # sums[2m-x+1]) for x <= 2m, else 4**m, at every x <= 2**10 + 1 and
+    # m <= x - 1; each row is built once and read by every x in step
+    xmax = (1 << 10) + 1
+    level_one = {x: fraud._level_one(x, x - 1) for x in range(1, xmax + 1)}
+    for m in range(xmax):
+        row = [1] * (m + 1)
+        for i in range(1, m + 1):
+            row[i] = row[i - 1] * (2 * m - i + 1) // i
+        row, sums = fraud._with_sums(row)
+        for x in range(m + 1, xmax + 1):
+            want = 1 << 2 * m
+            if x <= 2 * m:
+                want = row[m] + 2 * (sums[m] - sums[2 * m - x + 1])
+            assert next(level_one[x]) == want, (m, x)
+    assert all(next(rest, None) is None for rest in level_one.values())
+
+
 def test_fan_tree_table_stops_at_the_threshold(monkeypatch):
-    # the sweep reads rows below x only: Pr(M(1, 11) < 3) needs 3 of 1,025
+    # levels >= 2 read rows m <= min(m_top << (n-2), x - 1) only, level 1
+    # none: Pr(M(1, 11) < 3) needs 3 of 1,025
     built, build = [], fraud._binom_rows
 
     def recording(mmax):
@@ -389,12 +410,13 @@ def test_fan_tree_table_stops_at_the_threshold(monkeypatch):
 
     monkeypatch.setattr(fraud, "_binom_rows", recording)
     recursive_prob(1, 11, 3)
-    for m, n, x in [(2, 3, 100), (3, 2, 6), (0, 1, 1), (1, 8, 100)]:
+    for m, n, x in [(2, 3, 100), (3, 2, 6), (0, 1, 1), (1, 8, 100), (1, 8, 50),
+                    (5, 1, 9)]:
         full = fraud._level_sweep(m, n, x, build(m << (n - 1)), fraud._shift)
         assert full == depth_oracle(m, n, x), (m, n, x)
         d = fraud._level_exponent(n) * m
         assert recursive_prob(m, n, x) == DyadicProbability(full[-1], d), (m, n, x)
-    assert built == [2, 8, 5, 0, 99]
+    assert built == [2, 4, 3, 0, 64, 49, 0]
 
 
 def test_exact_mode_refuses_large_rounds():
@@ -415,17 +437,20 @@ def test_expected_max_rejects_bad_rounds():
         expected_max_tree(0)
 
 
-@pytest.mark.parametrize("n", range(6, 10))
+@pytest.mark.parametrize("n", range(6, 11))
 def test_table_estimate_covers_the_built_table(n):
+    # the table of a depth-n tree sweep: rows m <= 2**(n-2)
+    mmax = fraud._top_row(1, n, 1 << (n - 1))
+    assert mmax == 1 << (n - 2)
     for build, exact in [(fraud._binom_rows, True), (fraud._pmf_rows, False)]:
         tracemalloc.start()
         try:
-            rows = build((1 << (n - 1)) - 1)
+            rows = build(mmax)
             built = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        estimate = fraud._table_bytes(1 << (n - 1), exact)
-        assert rows and built <= estimate <= 1.5 * built, exact
+        estimate = fraud._table_bytes(mmax + 1, exact)
+        assert len(rows) == mmax + 1 and built <= estimate <= 1.5 * built, exact
 
 
 @pytest.mark.skipif(fraud.resource is None, reason="no address-space limit to read")
@@ -446,34 +471,38 @@ def test_table_too_large_for_the_address_space_is_refused(monkeypatch):
     monkeypatch.setattr(resource, "getrlimit", getrlimit)
     monkeypatch.setattr(fraud, "_binom_rows", recording)
     monkeypatch.setattr(fraud, "_pmf_rows", recording)
-    want = ("^n = 12 needs about 1591 MiB for its binomial table, "
+    want = ("^n = 13 needs about 1594 MiB for its binomial table, "
             "above the address-space limit of 390 MiB$")
     for workers in (1, 2):  # refused in the parent, before any worker starts
         with pytest.raises(ResourceLimitError, match=want):
-            expected_max_tree(12, workers=workers)
-    # float rows are smaller: n = 13 is the first float table over the cap
-    with pytest.raises(ResourceLimitError, match="^n = 13 needs about 521 MiB"):
-        expected_max_tree_float(13, limits=Limits(max_exact_rounds=13))
-    # the fan-tree recursion checks the min(m << (n-1), x-1) + 1 rows it reads
-    want = ("^m = 1, n = 12, x = 2049 needs about 1594 MiB for its binomial "
+            expected_max_tree(13, workers=workers, limits=Limits(max_exact_rounds=13))
+    # float rows are smaller: n = 14 is the first float table over the cap
+    with pytest.raises(ResourceLimitError, match="^n = 14 needs about 521 MiB"):
+        expected_max_tree_float(14, limits=Limits(max_exact_rounds=14))
+    # the fan-tree recursion checks the min(m << (n-2), x-1) + 1 rows it reads
+    want = ("^m = 1, n = 13, x = 4097 needs about 1594 MiB for its binomial "
             "table, above the address-space limit of 390 MiB$")
     with pytest.raises(ResourceLimitError, match=want):
-        recursive_prob(1, 12, 2049)
-    with pytest.raises(ResourceLimitError, match="^m = 4000, n = 1, x = 4001 needs"):
-        base_case_prob(4000, 4001)
+        recursive_prob(1, 13, 4097)
+    with pytest.raises(ResourceLimitError, match="^m = 4000, n = 2, x = 4001 needs"):
+        recursive_prob(4000, 2, 4001)
     assert built == []
+    # depth 1 reads no row, only row 0, whatever m: 4,000 of each label
+    want = Fraction(comb(8000, 4000), 1 << 8000)
+    assert base_case_prob(4000, 4001).as_fraction() == want
+    assert built == [0]
     # a table at the cap is built, the next larger one is refused
-    cap = fraud._table_bytes(16)
-    tree = expected_max_tree(5)
-    assert tree.rounds == 5
-    assert recursive_prob(1, 5, 16) == tree.cdf.prob_below(16)
-    with pytest.raises(ResourceLimitError, match="^n = 6 needs about 0 MiB"):
-        expected_max_tree(6)
-    with pytest.raises(ResourceLimitError, match="^m = 1, n = 5, x = 17 needs"):
-        recursive_prob(1, 5, 17)
+    cap = fraud._table_bytes(17)
+    tree = expected_max_tree(6)
+    assert tree.rounds == 6
+    assert recursive_prob(1, 6, 32) == tree.cdf.prob_below(32)
+    with pytest.raises(ResourceLimitError, match="^n = 7 needs about 0 MiB"):
+        expected_max_tree(7)
+    with pytest.raises(ResourceLimitError, match="^m = 2, n = 6, x = 18 needs"):
+        recursive_prob(2, 6, 18)
     cap = resource.RLIM_INFINITY
-    assert expected_max_tree(6).rounds == 6
-    assert built == [15, 15, 31]
+    assert expected_max_tree(7).rounds == 7
+    assert built == [0, 16, 16, 32]
 
 
 # -- brute force --------------------------------------------------------------------

@@ -23,6 +23,11 @@ vertices, which covers the n label bits and at most n edge bits.
 `blake2b` comes from CPython's built-in `_blake2`, as `hashlib.blake2b`
 does, so no session loads OpenSSL's `_hashlib`.
 
+Trial `index` of a config's `seed` reads one more such stream, from state
+``(seed ^ index * 0xD1342543DE82EF95) mod 2^64``: bits 0-63 and 64-127 are
+the verifier and prover nonces (8 big-endian bytes each), bit 128 + i is
+round i's challenge.
+
 One session core (`_play`) derives each trial's nonces, labeling,
 challenges, expected labels and responses.  `run_session` records its
 transcript and the rate estimator reads only its decision, so both agree
@@ -41,7 +46,6 @@ out-edges or the symbols.  Every path makes the solver's one refusal.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
@@ -201,12 +205,6 @@ class SessionTranscript:
         return {**vars(self), "rounds": [dict(vars(r)) for r in self.rounds]}
 
 
-def _trial_seed(seed: int, index: int) -> int:
-    # one mixing step separates trial streams; documented, fixed
-    gen = _splitmix64((seed ^ (index * 0xD1342543DE82EF95)) & _MASK64)
-    return next(gen)
-
-
 def _replies_for(strategy, labeled, config, limits) -> tuple[str, ...]:
     """Every reply that is not the honest walk: early or greedy."""
     if strategy.kind == "early-reply":
@@ -252,11 +250,12 @@ def _play(config, strategy, trial_index, limits) -> tuple:
     failed_round), where failed_round, the first round whose response
     differs from the verifier's walk, is None for an accepted session.
     """
-    rng = random.Random(_trial_seed(config.seed, trial_index))
-    verifier_nonce = rng.getrandbits(64).to_bytes(8, "big")
-    prover_nonce = rng.getrandbits(64).to_bytes(8, "big")
+    rounds = config.rounds
+    word = _prf_word(config.seed ^ (trial_index * 0xD1342543DE82EF95), 128 + rounds)
+    verifier_nonce = (word & _MASK64).to_bytes(8, "big")
+    prover_nonce = (word >> 64 & _MASK64).to_bytes(8, "big")
     labeled = config.labeler(config.graph, config.key, verifier_nonce, prover_nonce)
-    challenges = [str(rng.getrandbits(1)) for _ in range(config.rounds)]
+    challenges = format(word >> 128 | 1 << rounds, "b")[:0:-1]
     expected = _expected_labels(labeled, config.start, challenges)
     if strategy.kind == "honest":
         responses = expected  # the honest prover runs the same walk

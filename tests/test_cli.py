@@ -647,9 +647,9 @@ def test_max_sequences_cannot_bind_on_binary_instances(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, code, err", [
     (["--protocol", "tree", "-n", "4", "--trials", "50", "--max-walks", "4"],
      EXIT_RESOURCE, "16 walks of 5 vertices exceed the limit 4"),
-    # the reduction gadget dead-ends after 11 sessions
+    # the reduction gadget dead-ends in its first session
     (["--graph", str(GOLDEN / "reduce_cnf_5v7c.json"), "-n", "8"], EXIT_INPUT,
-     "no out-edge labeled '1' at vertex 68; the configured graph dead-ends "
+     "no out-edge labeled '1' at vertex 6; the configured graph dead-ends "
      "before the last round"),
 ], ids=["walk-limit", "dead-end"])
 def test_refused_simulate_writes_no_transcripts(capsys, tmp_path, argv, code, err):

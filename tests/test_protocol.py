@@ -1,7 +1,10 @@
 import hashlib
 import itertools
+import json
 import random
 from collections import Counter
+from math import sqrt
+from pathlib import Path
 
 import pytest
 
@@ -32,22 +35,30 @@ from mfskit.walks import walks_from
 # -- session labeling ------------------------------------------------------------
 
 
-def _spec_labeling(structure, key, verifier_nonce, prover_nonce):
-    """The session labeling recomputed from the module docstring alone."""
-    h = hashlib.blake2b(digest_size=8)
-    for part in (key, verifier_nonce, prover_nonce):
-        h.update(len(part).to_bytes(4, "big") + part)
-    state = int.from_bytes(h.digest(), "big")
+def _spec_bits(state, count):
+    """At least `count` bits of the splitmix64 stream of `state`, from the
+    module docstring alone: each 64-bit block least-significant bit first."""
     mask = (1 << 64) - 1
-    n = structure.vertex_count
+    state &= mask
     bits = []
-    while len(bits) < 2 * n:  # n label bits and at most n edge bits
+    while len(bits) < count:
         state = (state + 0x9E3779B97F4A7C15) & mask
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         z ^= z >> 31
         bits.extend((z >> i) & 1 for i in range(64))
+    return bits
+
+
+def _spec_labeling(structure, key, verifier_nonce, prover_nonce):
+    """The session labeling recomputed from the module docstring alone."""
+    h = hashlib.blake2b(digest_size=8)
+    for part in (key, verifier_nonce, prover_nonce):
+        h.update(len(part).to_bytes(4, "big") + part)
+    state = int.from_bytes(h.digest(), "big")
+    n = structure.vertex_count
+    bits = _spec_bits(state, 2 * n)  # n label bits and at most n edge bits
     labels = [str(b) for b in bits[:n]]
     edge_bits = iter(bits[n:])
     edge_labels = []
@@ -241,6 +252,61 @@ def test_full_length_max_equals_suffix_max():
         assert full_best == suffix_best
 
 
+# -- the trial stream --------------------------------------------------------------
+
+
+def _spec_trial(seed, index, rounds):
+    """A trial's nonces (as hex) and challenges from the module docstring alone."""
+    bits = _spec_bits(seed ^ (index * 0xD1342543DE82EF95), 128 + rounds)
+
+    def nonce(lo):
+        value = sum(b << i for i, b in enumerate(bits[lo:lo + 64]))
+        return value.to_bytes(8, "big").hex()
+
+    return nonce(0), nonce(64), [str(b) for b in bits[128:128 + rounds]]
+
+
+@pytest.mark.parametrize(
+    "graph, rounds, seed, strategy",
+    [
+        (make_tree(3), 3, -7, early_reply()),
+        (make_tree(3), 3, 2**64 + 5, early_reply()),
+        # 70 challenge bits, 128..197: the third and fourth splitmix64 blocks
+        (make_poulidor(35), 70, 11, honest()),
+    ],
+    ids=["negative-seed", "seed-past-2^64", "ring-70-rounds"],
+)
+def test_trial_stream_matches_spec(graph, rounds, seed, strategy):
+    config = ProtocolConfig(graph=graph, start=0, rounds=rounds, seed=seed)
+    for t in range(30):
+        transcript = run_session(config, strategy, trial_index=t)
+        drawn = (transcript.verifier_nonce, transcript.prover_nonce,
+                 [r.challenge for r in transcript.rounds])
+        assert drawn == _spec_trial(seed, t, rounds)
+
+
+@pytest.mark.parametrize("fixture, rounds", [("example_tree", 3), ("example_poulidor", 4)],
+                         ids=["example_tree", "example_poulidor"])
+def test_challenges_are_uniform_on_a_fixed_labeling(request, fixture, rounds):
+    # one labeling for every session: acceptance depends on the challenges only
+    labeled = request.getfixturevalue(fixture)
+    config = ProtocolConfig(graph=labeled, start=0, rounds=rounds, trials=20000,
+                            seed=23, labeler=lambda *_: labeled)
+    accepting, total = exhaustive_challenge_success(labeled, 0, rounds)
+    p = accepting / total
+    report = estimate_success_rate(config, early_reply())
+    assert 0 < p < 1
+    assert abs(report.rate - p) <= 4 * sqrt(p * (1 - p) / config.trials)
+
+
+def test_trial_nonces_are_distinct(example_tree):
+    config = ProtocolConfig(graph=example_tree, start=0, rounds=3, seed=1,
+                            labeler=lambda *_: example_tree)
+    transcripts = [run_session(config, honest(), trial_index=t) for t in range(10000)]
+    assert len({t.verifier_nonce for t in transcripts}) == 10000
+    assert len({t.prover_nonce for t in transcripts}) == 10000
+
+
 # -- rate estimation ---------------------------------------------------------------
 
 
@@ -375,3 +441,47 @@ def test_greedy_replies_match_per_level_oracle():
 def test_strategy_kind_validated():
     with pytest.raises(ValueError, match="unknown strategy"):
         AdversaryStrategy("replay")
+
+
+# -- golden transcripts replayed from their own records ----------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, structure, kind",
+    [
+        ("simulate_tree_n6_transcripts.jsonl", make_tree(6), "early-reply"),
+        ("simulate_poulidor_n6_transcripts.jsonl", make_poulidor(6), "early-reply"),
+        ("simulate_poulidor_n6_greedy_transcripts.jsonl", make_poulidor(6),
+         "greedy-early-reply"),
+    ],
+    ids=["tree6", "poulidor6", "poulidor6-greedy"],
+)
+def test_golden_transcripts_replay_from_recorded_nonces_and_challenges(
+    golden, structure, kind
+):
+    # each line is decided again from its recorded nonces and challenges
+    # alone, so this holds whatever stream drew them
+    lines = (GOLDEN / golden).read_text().splitlines()
+    assert lines
+    for line in lines:
+        record = json.loads(line)
+        labeled = label_graph_from_prf(
+            structure, b"shared-secret", bytes.fromhex(record["verifier_nonce"]),
+            bytes.fromhex(record["prover_nonce"]))
+        challenges = [r["challenge"] for r in record["rounds"]]
+        rounds = len(challenges)
+        expected, v = [], 0
+        for c in challenges:  # the verifier's walk
+            v = labeled.out_edges[v][labeled.edge_labels[v].index(c)]
+            expected.append(labeled.labels[v])
+        if kind == "early-reply":
+            replies = most_frequent_sequence(labeled, 0, rounds + 1).sequence[1:]
+        else:
+            replies = _greedy_oracle(labeled, 0, rounds)
+        assert [r["expected"] for r in record["rounds"]] == expected
+        assert tuple(r["response"] for r in record["rounds"]) == replies
+        failed = next((i for i, (r, e) in enumerate(zip(replies, expected), 1)
+                       if r != e), None)
+        assert (record["accepted"], record["failed_round"]) == (failed is None, failed)

@@ -50,8 +50,9 @@ all-equal labeling, so the probability is 1 when x exceeds that.
 
 Brute force and Monte Carlo work on any graph.  They score each labeling
 with `walks.MfsScorer`, the one scorer the early-reply sessions of
-`protocol` use too: one gather over the walks and one `Counter` on trees,
-one prefix search on rings from n = 8.
+`protocol` use too: bit planes of the walks and a pruned split of them
+into classes on trees and on rings up to n = 12, one prefix search on rings
+from n = 13.
 """
 
 from __future__ import annotations

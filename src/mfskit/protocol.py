@@ -38,10 +38,11 @@ The honest prover answers with the verifier's own walk; every other
 reply, early or greedy, is chosen in one place, `_replies_for`.
 The labeler hook relabels the structure it is given, `config.graph`.
 Early replies come from the config's scorer, the one per-structure scorer
-of `walks` (`MfsScorer`) that `df brute` and `df mc` use too: one gather
-over the walks listed once, or one prefix search where walks are many
-against their frontier states, or where a labeler hook changes the
-out-edges or the symbols.  Every path makes the solver's one refusal.
+of `walks` (`MfsScorer`) that `df brute` and `df mc` use too: a split of
+the walks by the labeling's bit planes, or one prefix search where walks
+are many against their frontier states, or where a labeler hook changes
+the out-edges or the symbols or uses more than two symbols.  Every path
+makes the solver's one refusal.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 try:
     from _blake2 import blake2b
@@ -64,21 +65,16 @@ from .walks import most_frequent_sequence  # noqa: F401  bench/run.py traces it 
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(state: int) -> Iterator[int]:
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
-
-
 def _prf_word(seed: int, k: int) -> int:
-    """The first k bits of the stream as one integer, stream bit i at bit i."""
-    blocks = _splitmix64(seed & _MASK64)
+    """The first k bits of the splitmix64 stream of `seed` as one integer,
+    stream bit i at bit i."""
+    state = seed & _MASK64
     word = 0
     for shift in range(0, k, 64):
-        word |= next(blocks) << shift
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        word |= (z ^ (z >> 31)) << shift
     return word & ((1 << k) - 1)
 
 

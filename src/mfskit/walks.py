@@ -17,6 +17,13 @@ L symbols from packed integers: one per vertex, with one fixed-width slot
 per suffix of L symbols, in lexicographic order of the suffixes.  A
 stopping prefix then costs one big-integer sum and one unpack, and the
 MFS solver takes the largest slot, its first index and its ties in C.
+
+`MfsScorer` scores many labelings of one structure.  Where walks are few
+against their frontier states, it splits the walks themselves: a labeling
+gives one bit plane per position, the walks reading "1" there, and a
+depth-first search splits the set of walks by each plane in turn, so a
+class holds the walks of one label prefix and its size bounds every count
+below it.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, compress, islice, product, repeat
 from operator import itemgetter
 from struct import Struct
 from typing import Sequence
@@ -220,24 +227,6 @@ def walks_from(g: LabeledDigraph, start: int, k: int) -> list[tuple[int, ...]]:
     return walks
 
 
-def walk_keys(walks: list[tuple[int, ...]]):
-    """Key function for one fixed, non-empty list of walks from one start:
-    labels -> one key per walk, in walk order.
-
-    `labels` is a string or a tuple of one-character ASCII labels, vertex v
-    at index v.  A walk's key is the bytes of the labels of its vertices
-    after the first: every walk shares the start's label, so the keys
-    compare and count as the full sequences do.  Set-up gathers those
-    vertex ids into one `itemgetter` and builds a `Struct` that cuts the
-    joined labels into one key per walk, so keying a labeling is one
-    gather, one join and one unpack, with no Python loop over walks.
-    """
-    gather = itemgetter(*[v for w in walks for v in w[1:]])
-    split = Struct(f"{len(walks[0]) - 1}s" * len(walks)).unpack
-    # a single gathered label comes back bare; joining it still works
-    return lambda labels: split("".join(gather(labels)).encode())
-
-
 @dataclass(frozen=True)
 class MfsResult:
     sequence: tuple[str, ...]
@@ -282,43 +271,134 @@ def most_frequent_sequence(
 
 # -- one scorer per structure ---------------------------------------------------
 
+# the most mask bits one scorer keeps over all its positions (1 MiB); the
+# positions past it read their walk column per labeling instead
+_MASK_BITS = 1 << 23
+# so does a position of more than _MASK_WIDTH vertices, whose masks cost
+# more to sum than its column costs to gather
+_MASK_WIDTH = 256
+
+# labels "0" and "1" as the bytes 0 and 1 that select masks
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
 
 def _gathers(walks: int, states: int) -> bool:
-    """The scorer's switch: gather when 0 < walks <= 4 * sum_d |frontier_d|,
-    at most 2**16.  Trees merge no walks and always gather up to the cap;
-    rings merge them, and from n = 8 the prefix search is faster."""
-    return 0 < walks <= min(1 << 16, 4 * states)
+    """The scorer's switch: split walk classes when 0 < walks <= 64 *
+    sum_d |frontier_d|, at most 2**16.  Trees merge no walks and always
+    split up to the cap; Poulidor rings merge them, and from n = 13 the
+    prefix search is faster."""
+    return 0 < walks <= min(1 << 16, 64 * states)
+
+
+def _walk_planes(out_edges, levels: list[dict], walks: int):
+    """Labels -> the bit planes of one labeling: for each position d = 1 ..
+    k-1, the walks of k vertices whose vertex d reads "1", walk j at bit j
+    in depth-first out-edge order; bits from `walks` up are not walks.
+    `levels` are the k label-blind levels of `_frontiers`, `walks` the walk
+    count, and labels a string of "0" and "1", vertex v at index v.
+
+    Walks sharing a prefix are adjacent, so the walks at t in position d
+    form runs of e_d(t) walks, e_d(t) counting the walks of k - 1 - d more
+    edges from t; with S the run starts, their mask is (S << e_d(t)) - S.
+    The first positions keep these masks while they fit in _MASK_BITS and
+    none has more than _MASK_WIDTH vertices, all of a vertex's positions in
+    one integer, one block of `walks` bits per position: one sum of the
+    integers of the vertices that read "1" then holds those planes side by
+    side.  Each remaining position gathers its walk column from the labels,
+    read as one binary number.
+    """
+    # ends[d][v] = e_d(v) for the vertices of level d
+    ends = [dict.fromkeys(levels[-1], 1)]
+    for level in reversed(levels[:-1]):
+        get = ends[-1].__getitem__
+        ends.append({v: sum(map(get, out_edges[v])) for v in level})
+    ends.reverse()
+    # position d of the first `kept` is block kept - d, so each position
+    # kept adds a block to the integer of every vertex seen so far
+    kept, seen, cost = 0, set(), 0
+    for size in ends[1:]:
+        here = [v for v, e in size.items() if e]
+        seen.update(here)
+        cost += len(seen) * walks
+        if cost > _MASK_BITS or len(here) > _MASK_WIDTH:
+            break
+        kept += 1
+    masks, columns = {}, []
+    (start,) = levels[0]
+    starts, prefixes = {start: 1}, [start]
+    for d, size in enumerate(ends[1:], 1):
+        if d <= kept:
+            runs = {}
+            for v, first in starts.items():
+                offset = 0
+                for t in out_edges[v]:
+                    if size[t]:
+                        runs[t] = runs.get(t, 0) + (first << offset)
+                        offset += size[t]
+            starts, block = runs, (kept - d) * walks
+            for t, first in runs.items():
+                masks[t] = masks.get(t, 0) + ((first << size[t]) - first << block)
+        if kept < len(ends) - 1:  # some position reads its column
+            prefixes = [t for v in prefixes for t in out_edges[v] if size[t]]
+        if d > kept:
+            # reversed, so that walk 0 is the last, least significant digit
+            tail = prefixes[::-1]
+            columns.append(itemgetter(*chain.from_iterable(
+                map(repeat, tail, map(size.__getitem__, tail)))))
+    # the shortest integers first keep the running sum short; two zero masks
+    # keep the gather a tuple
+    order = sorted(masks, key=lambda v: masks[v].bit_length())
+    gather = itemgetter(start, start, *order)
+    values = (0, 0, *map(masks.__getitem__, order))
+    blocks = range((kept - 1) * walks, -1, -walks)
+
+    def planes(labels: str) -> list[int]:
+        # the planes of earlier positions stay above bit `walks`; a class
+        # of walks masks them off
+        total = sum(compress(values, gather(labels.encode().translate(_BITS))))
+        return list(map(total.__rshift__, blocks))
+
+    def gathered(labels: str) -> list[int]:
+        # a gather of one walk is one bare character; joining it still works
+        return planes(labels) + [int("".join(column(labels)), 2) for column in columns]
+
+    return gathered if columns else planes
 
 
 class MfsScorer:
     """The early-reply count of each labeling of one structure: over the
     walks of k vertices from `start`, max_t occ(t) and the smallest t
     reaching it.  One `_frontiers` pass gives the walk count and the switch
-    (`_gathers`).  Below it the walks are listed once, and a labeling costs
-    one `walk_keys` gather and one `Counter`; above it, one
+    (`_gathers`).  Below it a labeling costs its bit planes
+    (`_walk_planes`) and a depth-first split of the walks into classes of
+    one label prefix each, pruned by the best count so far; above it, one
     `most_frequent_sequence`.  Both answer alike, after one refusal,
     `check_search_limit`."""
 
     def __init__(self, structure: LabeledDigraph, start: int, k: int):
         self.out_edges, self.start, self.k = structure.out_edges, start, k
-        states = 0
-        for level in _frontiers(structure, start, k):
-            states += len(level)
-        self.walks = sum(level.values())
-        self.keys = None
-        if k > 1 and _gathers(self.walks, states):  # a key needs a second vertex
-            self.keys = walk_keys(walks_from(structure, start, k))
+        levels = list(_frontiers(structure, start, k))
+        self.walks = sum(levels[-1].values())
+        self.planes = None
+        if _gathers(self.walks, sum(map(len, levels))):
+            self.planes = _walk_planes(structure.out_edges, levels, self.walks)
         self.alphabet = None  # the last alphabet found to fit
+        self.to_bits = self.from_bits = None  # its two symbols and "0", "1"
 
     def fits(self, labeled: LabeledDigraph) -> bool:
         """A labeling of the structure: the same out-edges, and symbols of
-        one ASCII character each, as the gather's keys need."""
+        one ASCII character each, as the planes read them."""
         alphabet = labeled.alphabet
         if alphabet is not self.alphabet:
             if not all(isinstance(sym, str) and len(sym) == 1 and sym.isascii()
                        for sym in alphabet):
                 return False
             self.alphabet = alphabet
+            symbols = "".join(sorted(alphabet))
+            self.to_bits = self.from_bits = None
+            if len(symbols) <= 2:
+                self.to_bits = str.maketrans(symbols, "01"[:len(symbols)])
+                self.from_bits = str.maketrans("01"[:len(symbols)], symbols)
         return labeled.out_edges == self.out_edges
 
     def counter(self, limits: Limits):
@@ -328,33 +408,92 @@ class MfsScorer:
             raise GraphError(
                 f"no walk of {self.k} vertices starts at vertex {self.start}")
         check_search_limit(self.walks, 2, self.k, limits)
-        keys, out_edges, start, k = self.keys, self.out_edges, self.start, self.k
+        out_edges, start, k = self.out_edges, self.start, self.k
         top = 1 << len(out_edges)
+        planes_of, walks = self.planes, self.walks
+        every = (1 << walks) - 1
+        depth = k - 1
 
         def count(bits: int) -> int:
             # reversed binary with a sentinel top bit: labels[v] is bit v
             labels = format(bits | top, "b")[:0:-1]
-            if keys is not None:
-                return max(Counter(keys(labels)).values())
-            g = LabeledDigraph._unchecked(("0", "1"), tuple(labels), out_edges,
-                                          None, None)
-            return most_frequent_sequence(g, start, k, limits=limits).count
+            if planes_of is None:
+                g = LabeledDigraph._unchecked(("0", "1"), tuple(labels), out_edges,
+                                              None, None)
+                return most_frequent_sequence(g, start, k, limits=limits).count
+            planes = planes_of(labels)
+            # the heavier class first, so the first leaf is the greedy one;
+            # a class no larger than the best count so far is cut
+            most, stack = (0, [(walks, every, 0)]) if depth else (walks, [])
+            pop, push = stack.pop, stack.append
+            while stack:
+                size, part, d = pop()
+                if size <= most:
+                    continue
+                one = part & planes[d]
+                ones = one.bit_count()
+                rest = size - ones
+                d += 1
+                if d == depth:  # two leaves
+                    most = max(most, ones, rest)
+                elif ones > rest:
+                    if rest > most:
+                        push((rest, part ^ one, d))
+                    push((ones, one, d))
+                else:
+                    if ones > most:
+                        push((ones, one, d))
+                    push((rest, part ^ one, d))
+            return most
 
         return count
 
     def best(self, labeled: LabeledDigraph, limits: Limits) -> tuple[str, ...]:
-        """The smallest most frequent sequence of `labeled`: gathered when
-        it fits, else from the prefix search on `labeled` itself, as for a
-        labeler hook that changes the out-edges or the symbols."""
-        if self.keys is None or not self.fits(labeled):
+        """The smallest most frequent sequence of `labeled`: from its planes
+        when it fits with at most two symbols, else from the prefix search
+        on `labeled` itself, as for a labeler hook that changes the
+        out-edges or the symbols."""
+        if self.planes is None or not self.fits(labeled) or self.to_bits is None:
             return most_frequent_sequence(labeled, self.start, self.k,
                                           limits=limits).sequence
         check_search_limit(self.walks, len(labeled.alphabet), self.k, limits)
-        counts = Counter(self.keys(labeled.labels))
-        most = max(counts.values())
-        # the smallest of the keys counted most often
-        top = min(key for key, count in counts.items() if count == most)
-        return (labeled.labels[self.start], *top.decode())
+        labels = labeled.labels
+        planes = self.planes("".join(labels).translate(self.to_bits))
+        # descending to the heavier class bounds the largest count below
+        walks = most = self.walks
+        part = every = (1 << walks) - 1
+        for plane in planes:
+            one = part & plane
+            ones = one.bit_count()
+            if 2 * ones >= most:
+                part, most = one, ones
+            else:
+                part, most = part ^ one, most - ones
+        # "0" before "1", and only a larger count replaces the best: the
+        # class kept is the smallest maximizer; path starts with a sentinel 1
+        most, found, depth = most - 1, 1, len(planes)
+        stack = [(walks, every, 0, 1)] if depth else []
+        pop, push = stack.pop, stack.append
+        while stack:
+            size, part, d, path = pop()
+            if size <= most:
+                continue
+            one = part & planes[d]
+            ones = one.bit_count()
+            rest = size - ones
+            path <<= 1
+            d += 1
+            if d == depth:  # two leaves
+                if rest > most:
+                    most, found = rest, path
+                if ones > most:
+                    most, found = ones, path | 1
+                continue
+            if ones > most:
+                push((ones, one, d, path | 1))
+            if rest > most:
+                push((rest, part ^ one, d, path))
+        return (labels[self.start], *format(found, "b")[1:].translate(self.from_bits))
 
 
 # -- complementary sibling labeling -------------------------------------------

@@ -164,13 +164,35 @@ def test_df_sampling_matches_golden(capsys, argv, golden):
      "df_mc_poulidor_n12.json"),
     (["df", "brute", "--protocol", "poulidor", "-n", "8"], "df_brute_poulidor_n8.json"),
 ], ids=["mc", "brute"])
-def test_df_on_rings_past_the_switch_lists_no_walks(capsys, monkeypatch, argv, golden):
-    # the prefix search scores these rings and prints what the walk-list
-    # gather printed; no walk is listed
-    def refuse(*args):
-        raise AssertionError("walks listed")
+def test_df_on_rings_below_the_switch_splits_walk_classes(capsys, monkeypatch, argv,
+                                                          golden):
+    # the split reproduces goldens that the prefix search wrote; one scorer
+    # is built, with planes
+    built = []
 
-    monkeypatch.setattr(walks, "walks_from", refuse)
+    def planes(*args):
+        built.append(args[2])
+        return walk_planes(*args)
+
+    walk_planes = walks._walk_planes
+    monkeypatch.setattr(walks, "_walk_planes", planes)
+    assert run(capsys, argv).out == (GOLDEN / golden).read_text()
+    assert built == [1 << int(argv[argv.index("-n") + 1])]
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["df", "mc", "--protocol", "poulidor", "-n", "14", "--samples", "200", "--seed", "1"],
+     "df_mc_poulidor_n14.json"),
+    (["df", "brute", "--graph", str(GOLDEN / "debruijn_3.json"), "-n", "14"],
+     "df_brute_debruijn3_n14.json"),
+], ids=["mc", "brute"])
+def test_df_on_rings_past_the_switch_lists_no_walks(capsys, monkeypatch, argv, golden):
+    # the prefix search scores these graphs, 2**14 walks over 120 and 103
+    # frontier states; no walk is listed and no plane built
+    def refuse(*args):
+        raise AssertionError("walk planes built")
+
+    monkeypatch.setattr(walks, "_walk_planes", refuse)
     assert run(capsys, argv).out == (GOLDEN / golden).read_text()
 
 

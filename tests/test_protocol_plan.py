@@ -67,9 +67,9 @@ def test_plan_replies_match_oracle(monkeypatch):
             monkeypatch.setattr(walks, "_gathers", gathers)
             config = ProtocolConfig(graph=graph, start=start, rounds=rounds)
             scorer = config.scorer
-            # a walk list is kept on the gather side for every case but the
+            # walk planes are built on the gather side for every case but the
             # walk-free ones
-            assert (scorer.keys is not None) == (path == "gather" and scorer.walks > 0)
+            assert (scorer.planes is not None) == (path == "gather" and scorer.walks > 0)
             for kind, labeled in labelings:
                 assert scorer.fits(labeled)
                 want = _oracle(labeled, start, rounds)
@@ -206,24 +206,26 @@ def test_seq_mode_refusal_matches_the_solver():
 
 def test_walk_lists_over_the_cap_use_the_solver(monkeypatch):
     monkeypatch.setattr(walks, "_gathers", SCORER_PATHS["search"])
-    config = ProtocolConfig(graph=make_tree(4), start=0, rounds=4, seed=3)
-    assert config.scorer.keys is None
 
     def refuse(*args):
-        raise AssertionError("walks listed")
+        raise AssertionError("walk planes built")
 
-    monkeypatch.setattr(walks, "walks_from", refuse)
+    monkeypatch.setattr(walks, "_walk_planes", refuse)
+    config = ProtocolConfig(graph=make_tree(4), start=0, rounds=4, seed=3)
+    assert config.scorer.planes is None
     for labeled, replies in _transcript_replies(config, 50):
         assert config.scorer.fits(labeled)
         assert replies == _oracle(labeled, 0, 4)
 
 
 def test_the_switch_follows_the_frontier_states():
-    # trees gather; a ring gathers up to n = 7 and searches from n = 8
-    assert ProtocolConfig(graph=make_tree(10), start=0, rounds=10).scorer.keys
-    for n, gathers in [(6, True), (7, True), (8, False), (12, False)]:
+    # trees split walk classes; a ring splits up to n = 12 (45 walks per
+    # frontier state) and searches from n = 13 (78)
+    assert ProtocolConfig(graph=make_tree(10), start=0, rounds=10).scorer.planes
+    for n, gathers in [(6, True), (8, True), (12, True), (13, False), (14, False)]:
         scorer = ProtocolConfig(graph=make_poulidor(n), start=0, rounds=n).scorer
-        assert (scorer.keys is not None) == gathers, n
+        assert (scorer.planes is not None) == gathers, n
+    assert walks._gathers(64 * 91, 91) and not walks._gathers(64 * 91 + 1, 91)
     assert walks._gathers(1 << 16, 1 << 15) and not walks._gathers((1 << 16) + 1, 1 << 20)
     assert not walks._gathers(0, 1)
 

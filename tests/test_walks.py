@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -244,6 +245,7 @@ def _scorer_cases(rng):
         yield make_tree(n), 0, n + 1, limits()
     for n in range(2, 10):
         yield make_poulidor(n), 0, n + 1, limits()
+    yield make_poulidor(13), 0, 14, Limits()  # past the switch
     for m, n in product((1, 2, 3), (1, 2, 3)):
         yield make_generalized_tree(m, n), 0, n + 1, limits()
         # 3 * 2**(n-1) walks against 2**n binary candidates for m = 3
@@ -274,13 +276,13 @@ def test_scorer_paths_agree(monkeypatch):
         ]
         default = walks.MfsScorer(g, start, k)
         if default.walks:
-            seen["default-" + ("gather" if default.keys else "search")] += 1
+            seen["default-" + ("gather" if default.planes else "search")] += 1
         answers = {}
         for path, gathers in SCORER_PATHS.items():
             monkeypatch.setattr(walks, "_gathers", gathers)
             scorer = walks.MfsScorer(g, start, k)
-            gathered = path == "gather" and scorer.walks > 0 and k > 1
-            assert (scorer.keys is not None) == gathered
+            gathered = path == "gather" and scorer.walks > 0
+            assert (scorer.planes is not None) == gathered
             assert all(map(scorer.fits, labeled))
             answers[path] = (
                 _attempt(lambda: list(map(scorer.counter(limits), bits))),
@@ -305,6 +307,55 @@ def test_scorer_paths_agree(monkeypatch):
         monkeypatch.undo()
     assert seen.keys() == {"default-gather", "default-search", "no-walk", "walks",
                            "candidate", "counted"} and all(seen.values()), seen
+
+
+# (_MASK_BITS, _MASK_WIDTH): every position masked, every position gathering
+# its walk column, positions of more than 8 vertices gathering theirs, and
+# the default split
+MASK_BUDGETS = {"masks": (1 << 40, 1 << 40), "columns": (0, 0), "mixed": (1 << 40, 8),
+                "default": None}
+
+
+@pytest.mark.parametrize("budget", list(MASK_BUDGETS))
+def test_scorer_breaks_ties_as_the_solver(monkeypatch, budget):
+    if MASK_BUDGETS[budget]:
+        monkeypatch.setattr(walks, "_MASK_BITS", MASK_BUDGETS[budget][0])
+        monkeypatch.setattr(walks, "_MASK_WIDTH", MASK_BUDGETS[budget][1])
+    rng = random.Random(89)
+    ties = 0
+    for g, n in ([(make_tree(n), n) for n in range(1, 7)]
+                 + [(make_poulidor(n), n) for n in range(2, 11)]):
+        scorer = walks.MfsScorer(g, 0, n + 1)
+        count = scorer.counter(Limits())
+        nv = g.vertex_count
+        alternating = int("01" * nv, 2) & (1 << nv) - 1
+        seeded = [rng.getrandbits(nv) for _ in range(200)]
+        for bits in [0, (1 << nv) - 1, alternating, *seeded]:
+            labels = format(bits | 1 << nv, "b")[:0:-1]
+            binary = g.with_labels(tuple(labels))
+            # two symbols whose order is not the order of "0" and "1"
+            swapped = LabeledDigraph(("x", "a"), tuple(labels.translate({48: "x", 49: "a"})),
+                                     g.out_edges)
+            for labeled in (binary, swapped):
+                want = most_frequent_sequence(labeled, 0, n + 1)
+                assert scorer.best(labeled, Limits()) == want.sequence, (n, bits)
+                ties += want.tie_count > 1
+            assert count(bits) == most_frequent_sequence(binary, 0, n + 1).count
+    assert ties > 2000
+
+
+def test_scorer_set_up_memory_is_bounded():
+    # tree n = 14: one mask per vertex of each position would hold 2**15
+    # masks of 2**14 walks, 64 MiB; masks stay within _MASK_BITS and each
+    # further position keeps one walk column
+    tracemalloc.start()
+    try:
+        scorer = walks.MfsScorer(make_tree(14), 0, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scorer.planes is not None
+    assert peak < 8 << 20
 
 
 def test_mfs_rejects_bad_length(example_tree):
